@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/trace.h"
-#include "util/flat_map.h"
 
 namespace esd::core {
 
@@ -169,25 +168,29 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
   counters_.AddQuery();
   counters_.AddSlabSearch();
   auto it = lists_.lower_bound(tau);
-  std::vector<EdgeId> taken;
   if (it != lists_.end()) {
     it->second.ForEachInOrder([&](const Entry& entry) {
       if (out.size() >= k) return false;
       out.push_back(ScoredEdge{edges_[entry.e], entry.score});
-      taken.push_back(entry.e);
       return true;
     });
   }
   if (pad_with_zero_edges && out.size() < k) {
     // Documented deterministic padding order: lowest-id live edges first,
     // skipping edges already reported (FrozenEsdIndex pads identically).
-    util::FlatSet<EdgeId> included(taken.size());
-    for (EdgeId e : taken) included.Insert(e);
-    for (EdgeId e = 0; e < edges_.size() && out.size() < k; ++e) {
-      if (live_[e] && !included.Contains(e)) {
-        out.push_back(ScoredEdge{edges_[e], 0});
+    // out.size() < k means the whole H(c) list was reported, and H(c) is
+    // exactly the edges with max(C_e) >= c, so "already reported" is a test
+    // on the edge's own multiset.
+    EdgeId e = 0;
+    for (; e < edges_.size() && out.size() < k; ++e) {
+      if (!live_[e]) continue;
+      const std::vector<uint32_t>& sizes = edge_sizes_[e];
+      if (it != lists_.end() && !sizes.empty() && sizes.back() >= it->first) {
+        continue;
       }
+      out.push_back(ScoredEdge{edges_[e], 0});
     }
+    counters_.AddPadEdgesWalked(e);
   }
   counters_.AddEntriesScanned(out.size());
   return out;

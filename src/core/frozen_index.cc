@@ -6,7 +6,6 @@
 
 #include "core/esd_index.h"
 #include "obs/trace.h"
-#include "util/flat_map.h"
 
 namespace esd::core {
 
@@ -248,19 +247,22 @@ void FrozenEsdIndex::PadQueryResult(size_t slab_index, uint32_t k,
                                     TopKResult* inout) const {
   TopKResult& out = *inout;
   if (out.size() >= k) return;
-  std::span<const Entry> slab;
-  if (slab_index != kNoSlab) slab = ListAt(slab_index);
-  // The entries already in `out` are exactly the slab's first out.size()
-  // (the unpadded-answer precondition), so the dedup set rebuilds from the
-  // slab prefix rather than from the endpoint pairs.
-  const size_t take = std::min<size_t>(out.size(), slab.size());
-  util::FlatSet<EdgeId> included(take);
-  for (size_t i = 0; i < take; ++i) included.Insert(slab[i].e);
-  for (EdgeId e = 0; e < edges_.size() && out.size() < k; ++e) {
-    if (live_[e] && !included.Contains(e)) {
-      out.push_back(ScoredEdge{edges_[e], 0});
+  // Padding runs only once the whole slab is in *inout, and slab i is
+  // exactly the edges with max(C_e) >= sizes_[i]: an edge was reported iff
+  // the last element of its multiset reaches sizes_[i] (see the header).
+  const bool no_slab = slab_index == kNoSlab;
+  const uint32_t c = no_slab ? 0 : sizes_[slab_index];
+  out.reserve(std::min<uint64_t>(k, num_live_));
+  EdgeId e = 0;
+  for (; e < edges_.size() && out.size() < k; ++e) {
+    if (!live_[e]) continue;
+    const uint64_t hi = size_offsets_[e + 1];
+    if (!no_slab && hi != size_offsets_[e] && size_pool_[hi - 1] >= c) {
+      continue;
     }
+    out.push_back(ScoredEdge{edges_[e], 0});
   }
+  counters_.AddPadEdgesWalked(e);
 }
 
 uint32_t FrozenEsdIndex::ScoreOf(EdgeId e, uint32_t tau) const {

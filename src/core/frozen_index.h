@@ -108,7 +108,14 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   /// can run scan and padding under distinct clocks. Requires *inout to be
   /// the unpadded answer QueryAtSlab(slab, k, false) for the same slab and
   /// k; afterwards *inout equals QueryAtSlab(slab, k, true) exactly (same
-  /// ascending-edge-id fill, same dedup against the slab prefix).
+  /// ascending-edge-id fill over live edges not already reported).
+  ///
+  /// Padding runs only when the unpadded answer is short of k, i.e. when
+  /// it already holds the whole slab. Slab i is exactly the edges with
+  /// max(C_e) >= sizes_[i] (the definition of H(c)), so "not already
+  /// reported" is the membership test max(C_e) < sizes_[i] on the edge's
+  /// own multiset (an empty multiset, or any live edge when slab is
+  /// kNoSlab, qualifies): one ascending walk, no set of reported ids.
   void PadQueryResult(size_t slab, uint32_t k, TopKResult* inout) const;
 
   uint32_t ScoreOf(graph::EdgeId e, uint32_t tau) const override;
@@ -122,7 +129,8 @@ class FrozenEsdIndex final : public EsdQueryEngine {
   std::string_view EngineName() const override { return "frozen"; }
 
   /// Work counters: queries answered, sizes_ binary searches (FindSlab,
-  /// including the batched path), and slab entries scanned.
+  /// including the batched path), slab entries scanned, and edge ids the
+  /// padding walk visited.
   EngineCounters Counters() const override { return counters_.Snap(); }
 
   /// Which diversity definition the stored values follow (part of the

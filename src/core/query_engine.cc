@@ -204,6 +204,8 @@ void ExportEngineCounters(const EsdQueryEngine& engine,
       "Online search exact ego-network BFS runs");
   set("zero_bound_skips", c.zero_bound_skips,
       "Online candidates certified by a zero upper bound");
+  set("pad_edges_walked", c.pad_edges_walked,
+      "Edge ids visited by the zero-padding walk");
 }
 
 }  // namespace esd::core

@@ -22,7 +22,7 @@ namespace esd::core {
 
 /// One read of an engine's lifetime work counters. Which fields move
 /// depends on the engine: the index engines drive slab_searches /
-/// entries_scanned, the online adapter drives heap_pops /
+/// entries_scanned / pad_edges_walked, the online adapter drives heap_pops /
 /// exact_computations / zero_bound_skips. Fields an engine doesn't track
 /// stay 0.
 struct EngineCounters {
@@ -32,6 +32,7 @@ struct EngineCounters {
   uint64_t heap_pops = 0;          ///< online: priority-queue pops
   uint64_t exact_computations = 0; ///< online: exact ego-network BFS runs
   uint64_t zero_bound_skips = 0;   ///< online: candidates certified bound=0
+  uint64_t pad_edges_walked = 0;   ///< edge ids visited by zero-padding
 };
 
 /// The atomic home of EngineCounters inside an engine. Lives in otherwise
@@ -63,6 +64,9 @@ class EngineCounterBlock {
     zero_bound_skips_.fetch_add(s.zero_bound_skips,
                                 std::memory_order_relaxed);
   }
+  void AddPadEdgesWalked(uint64_t n) const {
+    pad_edges_walked_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   EngineCounters Snap() const {
     EngineCounters c;
@@ -73,6 +77,7 @@ class EngineCounterBlock {
     c.exact_computations =
         exact_computations_.load(std::memory_order_relaxed);
     c.zero_bound_skips = zero_bound_skips_.load(std::memory_order_relaxed);
+    c.pad_edges_walked = pad_edges_walked_.load(std::memory_order_relaxed);
     return c;
   }
 
@@ -86,6 +91,7 @@ class EngineCounterBlock {
     exact_computations_.store(c.exact_computations,
                               std::memory_order_relaxed);
     zero_bound_skips_.store(c.zero_bound_skips, std::memory_order_relaxed);
+    pad_edges_walked_.store(c.pad_edges_walked, std::memory_order_relaxed);
   }
 
   mutable std::atomic<uint64_t> queries_{0};
@@ -94,6 +100,7 @@ class EngineCounterBlock {
   mutable std::atomic<uint64_t> heap_pops_{0};
   mutable std::atomic<uint64_t> exact_computations_{0};
   mutable std::atomic<uint64_t> zero_bound_skips_{0};
+  mutable std::atomic<uint64_t> pad_edges_walked_{0};
 };
 
 /// The serving-layer contract every top-k ESD engine implements.

@@ -47,17 +47,21 @@ Tracer& Tracer::Global() {
   return *tracer;                        // record during static teardown
 }
 
+thread_local Tracer::ThreadBuffer* Tracer::tls_ring_ = nullptr;
+thread_local std::string Tracer::tls_name_;
+
 Tracer::ThreadBuffer& Tracer::CurrentBuffer() {
   // The shared_ptr in buffers_ keeps the ring alive past thread exit, so
   // a trace exported after joins still holds worker spans.
-  thread_local ThreadBuffer* buffer = [this] {
+  if (tls_ring_ == nullptr) {
     auto buf = std::make_shared<ThreadBuffer>();
     std::lock_guard<std::mutex> lock(mu_);
     buf->tid = static_cast<uint32_t>(buffers_.size());
+    buf->thread_name = tls_name_;
     buffers_.push_back(buf);
-    return buf.get();
-  }();
-  return *buffer;
+    tls_ring_ = buf.get();
+  }
+  return *tls_ring_;
 }
 
 void Tracer::RecordComplete(const char* name, uint64_t start_ns,
@@ -73,9 +77,11 @@ void Tracer::RecordComplete(const char* name, uint64_t start_ns,
 }
 
 void Tracer::SetCurrentThreadName(std::string name) {
-  ThreadBuffer& buf = CurrentBuffer();
-  std::lock_guard<std::mutex> lock(mu_);
-  buf.thread_name = std::move(name);
+  if (tls_ring_ != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    tls_ring_->thread_name = name;
+  }
+  tls_name_ = std::move(name);
 }
 
 std::string Tracer::ChromeTraceJson() const {

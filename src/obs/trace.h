@@ -13,7 +13,8 @@
 ///
 /// Runtime gate: Tracer::Global().SetEnabled(false) skips the clock reads
 /// too (one relaxed load per span). Tracing is enabled by default when
-/// compiled in; the ring buffers only cost memory once a thread records.
+/// compiled in; the ring buffers only cost memory once a thread records
+/// (naming a thread does not create one).
 
 #ifndef ESD_OBS_TRACING
 #define ESD_OBS_TRACING 1
@@ -72,7 +73,9 @@ class Tracer {
 
   /// Names the calling thread's track in the exported trace (defaults to
   /// "thread-<tid>" in registration order; the first registering thread
-  /// is tid 0).
+  /// is tid 0). Naming allocates nothing: the name is kept per thread and
+  /// copied into the thread's ring when its first event creates it, so a
+  /// named thread that never records never registers a track.
   void SetCurrentThreadName(std::string name);
 
   /// Chrome trace_event JSON: {"traceEvents":[...]} with one ph:"M"
@@ -107,7 +110,14 @@ class Tracer {
     std::atomic<uint64_t> head{0};
   };
 
+  /// The calling thread's ring, created and registered on first use.
   ThreadBuffer& CurrentBuffer();
+
+  /// Per-thread state: the ring (null until the thread first records) and
+  /// the name set before it existed. The ring pointer is trivially
+  /// destructible so recording stays valid during thread teardown.
+  static thread_local ThreadBuffer* tls_ring_;
+  static thread_local std::string tls_name_;
 
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;  // guarded by mu_

@@ -137,10 +137,16 @@ void ThreadPool::WorkerLoop() {
       task();
       continue;
     }
-    while (true) {
-      uint64_t lo = next_.fetch_add(grain, std::memory_order_relaxed);
-      if (lo >= end) break;
-      job(lo, std::min(lo + grain, end));
+    {
+      // One span per worker per ParallelFor: a traced run shows every
+      // participating worker on its named track, chunks won or not (a
+      // thread's track exists only once it records).
+      ESD_TRACE_SPAN("pool.parallel_for");
+      while (true) {
+        uint64_t lo = next_.fetch_add(grain, std::memory_order_relaxed);
+        if (lo >= end) break;
+        job(lo, std::min(lo + grain, end));
+      }
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

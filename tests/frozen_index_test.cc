@@ -4,9 +4,12 @@
 // round-trip losslessly through Freeze/Thaw and both index_io file
 // versions.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dynamic_index.h"
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
@@ -21,6 +25,7 @@
 #include "core/naive_topk.h"
 #include "core/parallel_builder.h"
 #include "core/query_engine.h"
+#include "core/scorer.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
@@ -153,6 +158,153 @@ TEST(FrozenIndexTest, PaddingOrderIsAscendingEdgeId) {
     EXPECT_EQ(got[i].edge, index.EdgeAt(static_cast<graph::EdgeId>(i)));
   }
   EXPECT_EQ(got, index.Query(4, 3));
+}
+
+/// Padding from its definition: the slab's first min(k, |slab|) entries,
+/// then live edges not among them in ascending id with score 0, up to k.
+/// Reads only the slab list and the live mask, never the multisets the
+/// engines' membership test uses.
+TopKResult ReferencePadded(const FrozenEsdIndex& frozen, size_t slab,
+                           uint32_t k) {
+  TopKResult out;
+  std::vector<uint8_t> reported(frozen.EdgeSlotCount(), 0);
+  if (slab != FrozenEsdIndex::kNoSlab) {
+    for (const FrozenEsdIndex::Entry& entry : frozen.ListAt(slab)) {
+      if (out.size() >= k) break;
+      out.push_back(core::ScoredEdge{frozen.EdgeAt(entry.e), entry.score});
+      reported[entry.e] = 1;
+    }
+  }
+  for (graph::EdgeId e = 0; e < frozen.EdgeSlotCount() && out.size() < k;
+       ++e) {
+    if (frozen.IsLive(e) && !reported[e]) {
+      out.push_back(core::ScoredEdge{frozen.EdgeAt(e), 0});
+    }
+  }
+  return out;
+}
+
+/// Every slab plus kNoSlab, k at 1, |slab|, |slab|+1 and around the live
+/// count: the split scan + PadQueryResult, the padded QueryAtSlab, Query,
+/// and the treap engine all equal the reference.
+void ExpectPaddingMatchesReference(const EsdIndex& treap,
+                                   const FrozenEsdIndex& frozen) {
+  const uint32_t live = static_cast<uint32_t>(frozen.NumRegisteredEdges());
+  const std::vector<uint32_t> sizes = frozen.DistinctSizes();
+  std::vector<std::pair<size_t, uint32_t>> slab_taus;  // (slab, tau)
+  for (size_t s = 0; s < sizes.size(); ++s) slab_taus.emplace_back(s, sizes[s]);
+  const uint32_t above = sizes.empty() ? 1 : sizes.back() + 1;
+  slab_taus.emplace_back(FrozenEsdIndex::kNoSlab, above);
+  for (const auto& [slab, tau] : slab_taus) {
+    ASSERT_EQ(frozen.FindSlab(tau), slab);
+    const uint32_t len =
+        slab == FrozenEsdIndex::kNoSlab
+            ? 0
+            : static_cast<uint32_t>(frozen.ListAt(slab).size());
+    for (uint32_t k : {1u, len, len + 1, len + 2, live, live + 1, live + 7}) {
+      if (k == 0) continue;
+      SCOPED_TRACE("tau=" + std::to_string(tau) + " k=" + std::to_string(k));
+      const TopKResult want = ReferencePadded(frozen, slab, k);
+      ASSERT_EQ(want.size(), std::min(k, live));
+      TopKResult split = frozen.QueryAtSlab(slab, k, false);
+      frozen.PadQueryResult(slab, k, &split);
+      EXPECT_EQ(split, want);
+      EXPECT_EQ(frozen.QueryAtSlab(slab, k, true), want);
+      EXPECT_EQ(frozen.Query(k, tau), want);
+      EXPECT_EQ(treap.Query(k, tau), want);
+    }
+  }
+}
+
+TEST(FrozenIndexTest, PaddingMatchesDefinitionAfterChurn) {
+  namespace fs = std::filesystem;
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("esd_padding_property_" + std::to_string(::getpid()) + ".esdx"))
+          .string();
+  const graph::Graph g = gen::BarabasiAlbert(60, 3, 21);
+  for (const core::DiversityScorer* scorer :
+       {&core::EsdScorer(), &core::TrussScorer(),
+        &core::EgoBetweennessScorer()}) {
+    SCOPED_TRACE(std::string(scorer->Name()));
+    core::DynamicEsdIndex dyn(g, *scorer);
+    // Delete ten edges, then insert four new ones: the inserts reuse freed
+    // slots, six slots stay freed.
+    for (graph::EdgeId e = 0; e < 50; e += 5) {
+      const graph::Edge uv = g.EdgeAt(e);
+      ASSERT_TRUE(dyn.DeleteEdge(uv.u, uv.v));
+    }
+    uint32_t inserted = 0;
+    for (graph::VertexId u = 40; u < 60 && inserted < 4; ++u) {
+      if (dyn.InsertEdge(u, u - 37)) ++inserted;
+    }
+    ASSERT_EQ(inserted, 4u);
+
+    const EsdIndex& treap = dyn.Index();
+    const FrozenEsdIndex frozen = core::Freeze(treap);
+    size_t freed = 0, empty_live = 0;
+    for (graph::EdgeId e = 0; e < frozen.EdgeSlotCount(); ++e) {
+      if (!frozen.IsLive(e)) ++freed;
+      if (frozen.IsLive(e) && frozen.EdgeSizes(e).empty()) ++empty_live;
+    }
+    ASSERT_EQ(freed, 6u);
+    ASSERT_GT(empty_live, 0u);  // live edges that every slab omits
+    ExpectPaddingMatchesReference(treap, frozen);
+
+    std::string error;
+    ASSERT_TRUE(core::SaveFrozenIndex(frozen, path, &error)) << error;
+    FrozenEsdIndex loaded;
+    ASSERT_TRUE(core::LoadFrozenIndex(path, &loaded, &error)) << error;
+    ASSERT_TRUE(loaded == frozen);
+    ExpectPaddingMatchesReference(treap, loaded);
+  }
+  fs::remove(path);
+}
+
+TEST(FrozenIndexTest, PadEdgesWalkedCounterIsExact) {
+  // Triangle 0-1-2 with the path 2-3-4 hanging off it. The triangle edges
+  // (ids 0..2) each have ego-network {third vertex}, C_e = {1}; the path
+  // edges (ids 3, 4) have no common neighbors, C_e = {}. So C = {1} and
+  // the one slab H(1) holds edges 0..2.
+  graph::GraphBuilder b;
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 2);
+  b.AddEdge(2, 3);
+  b.AddEdge(3, 4);
+  const graph::Graph g = b.Build();
+  const EsdIndex treap = core::BuildIndexClique(g);
+  const FrozenEsdIndex frozen = core::Freeze(treap);
+  ASSERT_EQ(frozen.DistinctSizes(), std::vector<uint32_t>{1});
+  for (graph::EdgeId e = 0; e < 5; ++e) {
+    EXPECT_EQ(frozen.EdgeSizes(e).size(), e < 3 ? 1u : 0u) << e;
+  }
+
+  struct Case {
+    uint32_t k, tau;
+    uint64_t walked;  // edge ids the padding walk visits
+  };
+  const Case cases[] = {
+      {3, 1, 0},   // the slab alone answers: no walk
+      {4, 1, 4},   // skips 0..2, takes 3, full
+      {5, 1, 5},   // skips 0..2, takes 3 and 4
+      {10, 1, 5},  // walks every slot, still short of k
+      {2, 2, 2},   // no slab serves tau 2: takes 0 and 1
+  };
+  for (const core::EsdQueryEngine* engine :
+       {static_cast<const core::EsdQueryEngine*>(&frozen),
+        static_cast<const core::EsdQueryEngine*>(&treap)}) {
+    for (const Case& c : cases) {
+      const uint64_t before = engine->Counters().pad_edges_walked;
+      (void)engine->Query(c.k, c.tau);
+      EXPECT_EQ(engine->Counters().pad_edges_walked - before, c.walked)
+          << engine->EngineName() << " k=" << c.k << " tau=" << c.tau;
+    }
+    // Unpadded queries never walk.
+    const uint64_t before = engine->Counters().pad_edges_walked;
+    (void)engine->Query(10, 2, false);
+    EXPECT_EQ(engine->Counters().pad_edges_walked, before);
+  }
 }
 
 TEST(FrozenIndexTest, QueriesAgainstNaiveGroundTruth) {

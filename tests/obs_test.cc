@@ -425,6 +425,48 @@ TEST(ObsTraceTest, DisabledTracerSkipsRecording) {
             std::string::npos);
 }
 
+size_t CountTracks(const std::string& json) {
+  size_t n = 0;
+  for (size_t pos = json.find("\"thread_name\"");
+       pos != std::string::npos;
+       pos = json.find("\"thread_name\"", pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ObsTraceTest, NamingAThreadRegistersNoRingUntilItRecords) {
+  Tracer& tracer = Tracer::Global();
+  const size_t tracks_before = CountTracks(tracer.ChromeTraceJson());
+  tracer.SetEnabled(false);
+  std::thread([&tracer] {
+    tracer.SetCurrentThreadName("obs_test.idle_named");
+    ESD_TRACE_SPAN("obs_test.disarmed_span");
+  }).join();
+  tracer.SetEnabled(true);
+  std::string json = tracer.ChromeTraceJson();
+  EXPECT_EQ(CountTracks(json), tracks_before);  // no ring was created
+  EXPECT_EQ(json.find("obs_test.idle_named"), std::string::npos);
+
+  // A named thread that records gets its track under the name it set
+  // before the ring existed, and a later rename reaches the ring.
+  std::thread([&tracer] {
+    tracer.SetCurrentThreadName("obs_test.early_name");
+    { ESD_TRACE_SPAN("obs_test.armed_span"); }
+    tracer.SetCurrentThreadName("obs_test.renamed");
+  }).join();
+  std::thread([&tracer] {
+    tracer.SetCurrentThreadName("obs_test.named_recorder");
+    ESD_TRACE_SPAN("obs_test.armed_span");
+  }).join();
+  json = tracer.ChromeTraceJson();
+  EXPECT_EQ(CountTracks(json), tracks_before + 2);
+  EXPECT_NE(json.find("\"name\":\"obs_test.named_recorder\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"obs_test.renamed\""), std::string::npos);
+  EXPECT_EQ(json.find("obs_test.early_name"), std::string::npos);
+}
+
 TEST(ObsTraceTest, RingWrapKeepsNewestCapacityEvents) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
