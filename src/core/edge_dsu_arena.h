@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/orientation.h"
 #include "util/dsu.h"
 #include "util/thread_pool.h"
 
@@ -21,20 +22,35 @@ namespace esd::core {
 /// vertex→slot resolution is a binary search in the edge's slice. Union
 /// and Find use path halving + union by size, exactly like KeyedDsu.
 ///
+/// The member slices come from one triangle enumeration on the
+/// degree-ordered DAG, the same orientation the 4-clique phase walks: a
+/// triangle (u, v, w) puts w into uv's slice, v into uw's and u into vw's.
+/// A first pass sizes every slice, a second fills them through per-edge
+/// atomic cursors, and a per-slice sort restores ascending member order,
+/// so the arena does not depend on how threads interleave. This costs
+/// O(αm), with no merge over the full adjacency of high-degree hubs.
+///
 /// Slices of different edges are disjoint, so the parallel builder may
 /// process different edges concurrently as long as it serializes unions on
 /// the *same* edge (striped locks).
 class EdgeDsuArena {
  public:
-  /// Builds member slices for every edge of `g` — lines 1-4 of Algorithm 3.
-  /// If `pool` is non-null the per-edge fill runs on it.
+  /// Builds member slices for every edge of the DAG's graph — lines 1-4 of
+  /// Algorithm 3. If `pool` is non-null both triangle passes and the slice
+  /// sort run on it. Sets the `esd_build_triangles` and
+  /// `esd_build_arena_members` gauges of the global metric registry.
+  explicit EdgeDsuArena(const graph::DegreeOrderedDag& dag,
+                        util::ThreadPool* pool = nullptr);
+
+  /// Same, orienting `g` itself.
   explicit EdgeDsuArena(const graph::Graph& g,
                         util::ThreadPool* pool = nullptr);
 
   /// Number of edges covered.
   size_t NumEdges() const { return offsets_.size() - 1; }
 
-  /// Total members across all edges — the paper's O(αm) bound.
+  /// Total members across all edges — the paper's O(αm) bound, and three
+  /// times the number of triangles.
   size_t TotalMembers() const { return members_.size(); }
 
   /// Sorted members (common neighborhood) of edge e.
@@ -48,6 +64,13 @@ class EdgeDsuArena {
 
   /// Sorted component sizes of edge e's ego-network (the paper's C_uv).
   std::vector<uint32_t> ComponentSizes(graph::EdgeId e);
+
+  /// ComponentSizes of every edge, packed as CSR: edge e's sizes are
+  /// (*sizes)[(*offsets)[e] .. (*offsets)[e + 1]), ascending. Runs on
+  /// `pool` when one is given (slices are disjoint, so no locking).
+  void PackComponentSizes(util::ThreadPool* pool,
+                          std::vector<uint64_t>* offsets,
+                          std::vector<uint32_t>* sizes) const;
 
   /// Converts edge e's structure to a standalone KeyedDsu with the same
   /// components (used to bootstrap the dynamic index).

@@ -175,6 +175,9 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
       return true;
     });
   }
+  // Only the H(c) prefix counts as entries scanned, as in the frozen
+  // engine: zero-padded filler edges never touch a list.
+  counters_.AddEntriesScanned(out.size());
   if (pad_with_zero_edges && out.size() < k) {
     // Documented deterministic padding order: lowest-id live edges first,
     // skipping edges already reported (FrozenEsdIndex pads identically).
@@ -192,7 +195,6 @@ TopKResult EsdIndex::Query(uint32_t k, uint32_t tau,
     }
     counters_.AddPadEdgesWalked(e);
   }
-  counters_.AddEntriesScanned(out.size());
   return out;
 }
 

@@ -27,88 +27,156 @@ uint32_t ScoreAt(std::span<const uint32_t> sizes, uint32_t c) {
       sizes.end() - std::lower_bound(sizes.begin(), sizes.end(), c));
 }
 
+// The distinct values of `pool`, ascending. Values no larger than the pool
+// is long are collected in a presence array: an edge's component sizes sum
+// to its common-neighborhood size, so ESD values always qualify. Anything
+// else (a loaded file may hold any value) is sorted instead.
+std::vector<uint32_t> DistinctValues(const std::vector<uint32_t>& pool,
+                                     uint32_t max_value) {
+  std::vector<uint32_t> out;
+  if (max_value <= pool.size()) {
+    std::vector<uint8_t> seen(size_t{max_value} + 1, 0);
+    for (uint32_t v : pool) seen[v] = 1;
+    for (size_t v = 0; v < seen.size(); ++v) {
+      if (seen[v] != 0) out.push_back(static_cast<uint32_t>(v));
+    }
+  } else {
+    out = pool;
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+  return out;
+}
+
+// Packs slot e's multiset sizes_of(e) into CSR. Slots that `live` marks
+// freed (an empty mask means all live) get an empty run.
+template <typename SizesOf>
+void PackSizes(size_t n, const std::vector<uint8_t>& live, SizesOf&& sizes_of,
+               std::vector<uint64_t>* offsets, std::vector<uint32_t>* pool) {
+  auto is_live = [&](EdgeId e) { return live.empty() || live[e] != 0; };
+  offsets->assign(n + 1, 0);
+  for (EdgeId e = 0; e < n; ++e) {
+    (*offsets)[e + 1] =
+        (*offsets)[e] + (is_live(e) ? sizes_of(e).size() : 0);
+  }
+  pool->clear();
+  pool->reserve((*offsets)[n]);
+  for (EdgeId e = 0; e < n; ++e) {
+    if (!is_live(e)) continue;
+    const auto& sizes = sizes_of(e);
+    pool->insert(pool->end(), sizes.begin(), sizes.end());
+  }
+}
+
 }  // namespace
 
 FrozenEsdIndex FrozenEsdIndex::FromEdgeSizes(
     std::vector<Edge> edges, std::vector<std::vector<uint32_t>> sizes_per_edge,
     std::vector<uint8_t> live, ScorerKind scorer) {
+  assert(sizes_per_edge.size() == edges.size());
+  std::vector<uint64_t> size_offsets;
+  std::vector<uint32_t> size_pool;
+  PackSizes(
+      edges.size(), live,
+      [&](EdgeId e) -> const std::vector<uint32_t>& {
+        return sizes_per_edge[e];
+      },
+      &size_offsets, &size_pool);
+  return FromPackedSizes(std::move(edges), std::move(size_offsets),
+                         std::move(size_pool), std::move(live), scorer);
+}
+
+FrozenEsdIndex FrozenEsdIndex::FromPackedSizes(
+    std::vector<Edge> edges, std::vector<uint64_t> size_offsets,
+    std::vector<uint32_t> size_pool, std::vector<uint8_t> live,
+    ScorerKind scorer) {
   obs::PhaseSeries phases;
   phases.Begin("build.slab_sort");
   FrozenEsdIndex out;
   out.scorer_ = scorer;
   const size_t n = edges.size();
-  assert(sizes_per_edge.size() == n);
   out.edges_ = std::move(edges);
   out.live_ = live.empty() ? std::vector<uint8_t>(n, 1) : std::move(live);
-  assert(out.live_.size() == n);
-  for (size_t e = 0; e < n; ++e) {
-    assert(std::is_sorted(sizes_per_edge[e].begin(), sizes_per_edge[e].end()));
-    if (!out.live_[e]) sizes_per_edge[e].clear();  // freed slots carry nothing
+  out.size_offsets_ = std::move(size_offsets);
+  out.size_pool_ = std::move(size_pool);
+  assert(out.live_.size() == n && out.size_offsets_.size() == n + 1 &&
+         out.size_offsets_[n] == out.size_pool_.size());
+  uint32_t max_value = 0;
+  uint64_t max_len = 0;
+  for (EdgeId e = 0; e < n; ++e) {
+    std::span<const uint32_t> sizes = out.EdgeSizes(e);
+    assert(std::is_sorted(sizes.begin(), sizes.end()));
+    assert(out.live_[e] || sizes.empty());  // freed slots carry nothing
     if (out.live_[e]) ++out.num_live_;
+    if (sizes.empty()) continue;
+    max_value = std::max(max_value, sizes.back());
+    max_len = std::max<uint64_t>(max_len, sizes.size());
   }
-
-  // Pack the per-edge multisets into one CSR pool.
-  out.size_offsets_.resize(n + 1);
-  uint64_t total_sizes = 0;
-  for (size_t e = 0; e < n; ++e) {
-    out.size_offsets_[e] = total_sizes;
-    total_sizes += sizes_per_edge[e].size();
-  }
-  out.size_offsets_[n] = total_sizes;
-  out.size_pool_.reserve(total_sizes);
-  for (size_t e = 0; e < n; ++e) {
-    out.size_pool_.insert(out.size_pool_.end(), sizes_per_edge[e].begin(),
-                          sizes_per_edge[e].end());
-  }
-
-  // The distinct size set C, ascending.
-  out.sizes_ = out.size_pool_;
-  std::sort(out.sizes_.begin(), out.sizes_.end());
-  out.sizes_.erase(std::unique(out.sizes_.begin(), out.sizes_.end()),
-                   out.sizes_.end());
+  out.sizes_ = DistinctValues(out.size_pool_, max_value);
   const size_t num_c = out.sizes_.size();
 
-  // |H(c_i)| = #{edges with max(C_e) >= c_i}: bucket edges by the index of
-  // their maximum size, then suffix-sum.
-  std::vector<std::vector<EdgeId>> by_max(num_c);
-  for (size_t e = 0; e < n; ++e) {
-    if (sizes_per_edge[e].empty()) continue;
-    size_t idx = static_cast<size_t>(
-        std::lower_bound(out.sizes_.begin(), out.sizes_.end(),
-                         sizes_per_edge[e].back()) -
+  // Bucket the edges by the index of their maximum size. This is a
+  // counting sort, so each bucket lists its edges in ascending id order.
+  std::vector<uint32_t> top(n);
+  std::vector<uint64_t> bucket(num_c + 1, 0);
+  for (EdgeId e = 0; e < n; ++e) {
+    std::span<const uint32_t> sizes = out.EdgeSizes(e);
+    if (sizes.empty()) continue;
+    top[e] = static_cast<uint32_t>(
+        std::lower_bound(out.sizes_.begin(), out.sizes_.end(), sizes.back()) -
         out.sizes_.begin());
-    by_max[idx].push_back(static_cast<EdgeId>(e));
+    ++bucket[top[e] + 1];
   }
-  out.offsets_.assign(num_c + 1, 0);
+  for (size_t i = 0; i < num_c; ++i) bucket[i + 1] += bucket[i];
+  std::vector<EdgeId> by_max(bucket[num_c]);
   {
-    uint64_t suffix = 0;
-    std::vector<uint64_t> slab_len(num_c, 0);
-    for (size_t i = num_c; i-- > 0;) {
-      suffix += by_max[i].size();
-      slab_len[i] = suffix;
+    std::vector<uint64_t> next(bucket.begin(), bucket.end() - 1);
+    for (EdgeId e = 0; e < n; ++e) {
+      if (out.size_offsets_[e] != out.size_offsets_[e + 1]) {
+        by_max[next[top[e]]++] = e;
+      }
     }
-    for (size_t i = 0; i < num_c; ++i) {
-      out.offsets_[i + 1] = out.offsets_[i] + slab_len[i];
-    }
+  }
+  // |H(c_i)| = #{edges with max(C_e) >= c_i}: buckets i and up.
+  out.offsets_.assign(num_c + 1, 0);
+  for (size_t i = 0; i < num_c; ++i) {
+    out.offsets_[i + 1] = out.offsets_[i] + (bucket[num_c] - bucket[i]);
   }
   out.entries_.resize(out.offsets_[num_c]);
 
-  // Sweep c from largest to smallest keeping the active set (edges with
-  // max >= c), emitting each slab as one sorted run — the same sweep as
-  // EsdIndex::BulkLoad, but into flat storage instead of treaps.
-  std::vector<EdgeId> active;
-  std::vector<Entry> run;
+  // Sweep c from largest to smallest. The active set (edges with max >= c)
+  // stays in ascending id order by merging each bucket into it, and a
+  // stable counting sort on score (descending) then yields the canonical
+  // slab order: ties keep ascending ids.
+  std::vector<EdgeId> active, merged;
+  std::vector<uint32_t> score;
+  std::vector<uint64_t> slot(max_len + 1);
   for (size_t i = num_c; i-- > 0;) {
-    active.insert(active.end(), by_max[i].begin(), by_max[i].end());
-    const uint32_t c = out.sizes_[i];
-    run.clear();
-    run.reserve(active.size());
-    for (EdgeId e : active) {
-      run.push_back(Entry{ScoreAt(out.EdgeSizes(e), c), e});
+    if (bucket[i] != bucket[i + 1]) {
+      merged.resize(active.size() + (bucket[i + 1] - bucket[i]));
+      std::merge(active.begin(), active.end(), by_max.begin() + bucket[i],
+                 by_max.begin() + bucket[i + 1], merged.begin());
+      active.swap(merged);
     }
-    std::sort(run.begin(), run.end(), EntryBefore);
-    assert(run.size() == out.offsets_[i + 1] - out.offsets_[i]);
-    std::copy(run.begin(), run.end(), out.entries_.begin() + out.offsets_[i]);
+    const uint32_t c = out.sizes_[i];
+    score.resize(active.size());
+    uint32_t top_score = 0;
+    for (size_t j = 0; j < active.size(); ++j) {
+      score[j] = ScoreAt(out.EdgeSizes(active[j]), c);
+      top_score = std::max(top_score, score[j]);
+    }
+    std::fill(slot.begin(), slot.begin() + top_score + 1, 0);
+    for (uint32_t s : score) ++slot[s];
+    uint64_t pos = out.offsets_[i];
+    for (uint32_t s = top_score; s > 0; --s) {
+      const uint64_t count = slot[s];
+      slot[s] = pos;
+      pos += count;
+    }
+    assert(pos == out.offsets_[i + 1]);
+    for (size_t j = 0; j < active.size(); ++j) {
+      out.entries_[slot[score[j]]++] = Entry{score[j], active[j]};
+    }
   }
   return out;
 }
@@ -129,6 +197,7 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
     return fail("frozen index: size-offset table malformed");
   }
   uint64_t num_live = 0;
+  uint32_t max_value = 0;
   for (size_t e = 0; e < n; ++e) {
     const uint64_t lo = parts.size_offsets[e], hi = parts.size_offsets[e + 1];
     if (lo > hi) return fail("frozen index: size offsets not monotone");
@@ -143,15 +212,11 @@ bool FrozenEsdIndex::Adopt(Parts parts, FrozenEsdIndex* out,
       }
       prev = parts.size_pool[i];
     }
+    max_value = std::max(max_value, prev);
   }
   // C must be exactly the distinct sizes occurring in the pool.
-  {
-    std::vector<uint32_t> want = parts.size_pool;
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    if (want != parts.sizes) {
-      return fail("frozen index: size set C does not match multisets");
-    }
+  if (DistinctValues(parts.size_pool, max_value) != parts.sizes) {
+    return fail("frozen index: size set C does not match multisets");
   }
   const size_t num_c = parts.sizes.size();
   if (parts.offsets.size() != num_c + 1 || parts.offsets[0] != 0 ||
@@ -320,19 +385,23 @@ bool operator==(const FrozenEsdIndex& a, const FrozenEsdIndex& b) {
 
 FrozenEsdIndex Freeze(const EsdIndex& index) {
   const size_t slots = index.EdgeSlotCount();
-  std::vector<Edge> edges;
-  std::vector<std::vector<uint32_t>> sizes;
-  std::vector<uint8_t> live;
-  edges.reserve(slots);
-  sizes.reserve(slots);
-  live.reserve(slots);
+  std::vector<Edge> edges(slots);
+  std::vector<uint8_t> live(slots);
   for (EdgeId e = 0; e < slots; ++e) {
-    edges.push_back(index.EdgeAt(e));
-    sizes.push_back(index.EdgeSizes(e));
-    live.push_back(index.IsLive(e) ? 1 : 0);
+    edges[e] = index.EdgeAt(e);
+    live[e] = index.IsLive(e) ? 1 : 0;
   }
-  return FrozenEsdIndex::FromEdgeSizes(std::move(edges), std::move(sizes),
-                                       std::move(live), index.Scorer());
+  std::vector<uint64_t> size_offsets;
+  std::vector<uint32_t> size_pool;
+  PackSizes(
+      slots, live,
+      [&](EdgeId e) -> const std::vector<uint32_t>& {
+        return index.EdgeSizes(e);
+      },
+      &size_offsets, &size_pool);
+  return FrozenEsdIndex::FromPackedSizes(
+      std::move(edges), std::move(size_offsets), std::move(size_pool),
+      std::move(live), index.Scorer());
 }
 
 EsdIndex Thaw(const FrozenEsdIndex& frozen) {

@@ -73,6 +73,19 @@ class FrozenEsdIndex final : public EsdQueryEngine {
       std::vector<uint8_t> live = {},
       ScorerKind scorer = ScorerKind::kEsd);
 
+  /// FromEdgeSizes with the multisets already packed as CSR, the layout of
+  /// Parts::size_offsets / size_pool: slot e's multiset is
+  /// size_pool[size_offsets[e] .. size_offsets[e + 1]), ascending, and
+  /// empty for a freed slot. This is the one slab builder: FromEdgeSizes,
+  /// Freeze and the frozen-output builders all end here. It sweeps c from
+  /// the largest size down, merging the edges whose maximum is c into the
+  /// ascending-id active set, and emits each slab by a stable counting
+  /// sort on score, so no slab is comparison-sorted.
+  static FrozenEsdIndex FromPackedSizes(
+      std::vector<graph::Edge> edges, std::vector<uint64_t> size_offsets,
+      std::vector<uint32_t> size_pool, std::vector<uint8_t> live = {},
+      ScorerKind scorer = ScorerKind::kEsd);
+
   /// Validates `parts` (offset monotonicity, sorted multisets and slabs,
   /// edge ids in range, slab membership/scores consistent with the
   /// multisets) and adopts them into *out. On failure returns false, sets

@@ -44,23 +44,23 @@ EsdIndex BuildIndexBasicFast(const Graph& g) {
   return index;
 }
 
-// Algorithm 3 minus the H build: per-edge component-size multisets via one
-// 4-clique enumeration over the degree-ordered DAG. Shared by the treap and
-// frozen output paths (and the ESD scorer's bulk hook).
-std::vector<std::vector<uint32_t>> CliqueComponentSizes(
-    const Graph& g, std::vector<KeyedDsu>* m_out) {
-  const EdgeId m = g.NumEdges();
-  obs::PhaseSeries phases;
-  // Lines 1-4 of Algorithm 3: one disjoint-set structure per edge, seeded
-  // with the common neighborhood as singletons (arena-packed).
-  phases.Begin("build.dsu_init");
-  EdgeDsuArena dsu(g);
+namespace {
+
+// Lines 1-15 of Algorithm 3: the per-edge disjoint sets after every
+// 4-clique union. One degree-ordered DAG serves both the arena's triangle
+// pass and the clique enumeration.
+EdgeDsuArena CliqueUnions(const Graph& g, obs::PhaseSeries* phases) {
+  phases->Begin("build.orientation");
+  graph::DegreeOrderedDag dag(g);
+
+  // Lines 1-4: one disjoint-set structure per edge, seeded with the common
+  // neighborhood as singletons (arena-packed).
+  phases->Begin("build.dsu_init");
+  EdgeDsuArena dsu(dag);
 
   // Lines 5-15: each 4-clique {u, v, w1, w2} merges, in the structure of
   // every one of its six edges, the opposite pair of vertices.
-  phases.Begin("build.orientation");
-  graph::DegreeOrderedDag dag(g);
-  phases.Begin("build.clique_enum");
+  phases->Begin("build.clique_enum");
   cliques::ForEach4Clique(dag, [&dsu](const cliques::FourClique& q) {
     dsu.Union(q.uv, q.w1, q.w2);
     dsu.Union(q.uw1, q.v, q.w2);
@@ -69,6 +69,19 @@ std::vector<std::vector<uint32_t>> CliqueComponentSizes(
     dsu.Union(q.vw2, q.u, q.w1);
     dsu.Union(q.w1w2, q.u, q.v);
   });
+  return dsu;
+}
+
+}  // namespace
+
+// Algorithm 3 minus the H build: per-edge component-size multisets via one
+// 4-clique enumeration over the degree-ordered DAG. Shared by the treap
+// path and the ESD scorer's bulk hook.
+std::vector<std::vector<uint32_t>> CliqueComponentSizes(
+    const Graph& g, std::vector<KeyedDsu>* m_out) {
+  const EdgeId m = g.NumEdges();
+  obs::PhaseSeries phases;
+  EdgeDsuArena dsu = CliqueUnions(g, &phases);
 
   // Lines 16-23 (first half): read component sizes off the disjoint sets.
   phases.Begin("build.extract_sizes");
@@ -89,8 +102,16 @@ EsdIndex BuildIndexClique(const Graph& g, std::vector<KeyedDsu>* m_out) {
 }
 
 FrozenEsdIndex BuildFrozenIndex(const Graph& g) {
-  return FrozenEsdIndex::FromEdgeSizes(g.Edges(),
-                                       CliqueComponentSizes(g, nullptr));
+  std::vector<uint64_t> size_offsets;
+  std::vector<uint32_t> size_pool;
+  {
+    obs::PhaseSeries phases;
+    EdgeDsuArena dsu = CliqueUnions(g, &phases);
+    phases.Begin("build.extract_sizes");
+    dsu.PackComponentSizes(nullptr, &size_offsets, &size_pool);
+  }
+  return FrozenEsdIndex::FromPackedSizes(g.Edges(), std::move(size_offsets),
+                                         std::move(size_pool));
 }
 
 EsdIndex BuildIndex(const Graph& g, const DiversityScorer& scorer) {

@@ -39,8 +39,9 @@ FrozenEsdIndex BuildFrozenIndex(const graph::Graph& g);
 
 /// The shared core of Algorithm 3: per-edge component-size multisets via one
 /// 4-clique enumeration over the degree-ordered DAG (no H build). Exposed so
-/// the ESD scorer's bulk hook and the builders share one implementation. If
-/// `m_out` is non-null it receives the per-edge disjoint-set structures.
+/// the ESD scorer's bulk hook and the treap builder share one
+/// implementation (BuildFrozenIndex packs the same sizes as CSR instead).
+/// If `m_out` is non-null it receives the per-edge disjoint-set structures.
 std::vector<std::vector<uint32_t>> CliqueComponentSizes(
     const graph::Graph& g, std::vector<util::KeyedDsu>* m_out = nullptr);
 

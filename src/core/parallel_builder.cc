@@ -18,21 +18,20 @@ using util::KeyedDsu;
 
 namespace {
 
-// Phases 1-3 of Section IV-E: parallel per-edge component-size extraction,
-// shared by the treap and frozen output paths. The pool outlives the call.
-std::vector<std::vector<uint32_t>> ParallelComponentSizes(
-    const Graph& g, util::ThreadPool& pool, ParallelMode mode,
-    std::vector<KeyedDsu>* m_out) {
-  const EdgeId m = g.NumEdges();
-  obs::PhaseSeries phases;
+// Phases 1-2 of Section IV-E: the per-edge disjoint sets after every
+// 4-clique union. One degree-ordered DAG serves both the arena's triangle
+// pass and the clique enumeration. The pool outlives the call.
+EdgeDsuArena ParallelUnions(const Graph& g, util::ThreadPool& pool,
+                            ParallelMode mode, obs::PhaseSeries* phases) {
+  phases->Begin("build.orientation");
+  graph::DegreeOrderedDag dag(g);
 
-  // Phase 1: disjoint-set initialization, parallel over edges.
-  phases.Begin("build.dsu_init");
-  EdgeDsuArena dsu(g, &pool);
+  // Phase 1: disjoint-set initialization from the DAG's triangles,
+  // parallel over vertices.
+  phases->Begin("build.dsu_init");
+  EdgeDsuArena dsu(dag, &pool);
 
   // Phase 2: 4-clique enumeration.
-  phases.Begin("build.orientation");
-  graph::DegreeOrderedDag dag(g);
   util::StripedLocks locks(4096);
   auto locked_union = [&](EdgeId e, VertexId a, VertexId b) {
     util::SpinLockGuard guard(locks.ForKey(e));
@@ -46,7 +45,7 @@ std::vector<std::vector<uint32_t>> ParallelComponentSizes(
     locked_union(q.vw2, q.u, q.w1);
     locked_union(q.w1w2, q.u, q.v);
   };
-  phases.Begin("build.clique_enum");
+  phases->Begin("build.clique_enum");
   if (mode == ParallelMode::kEdgeParallel) {
     // The paper's choice: parallel over directed arcs, whose work
     // distribution is much flatter than per-vertex work.
@@ -55,7 +54,7 @@ std::vector<std::vector<uint32_t>> ParallelComponentSizes(
       EdgeId e;
     };
     std::vector<Arc> arcs;
-    arcs.reserve(m);
+    arcs.reserve(g.NumEdges());
     for (VertexId u = 0; u < g.NumVertices(); ++u) {
       auto out = dag.OutNeighbors(u);
       auto eids = dag.OutEdges(u);
@@ -90,29 +89,7 @@ std::vector<std::vector<uint32_t>> ParallelComponentSizes(
           }
         });
   }
-
-  // Phase 3: component-size extraction, parallel over edges. Arena slices
-  // of different edges are disjoint, so no synchronization is needed.
-  phases.Begin("build.extract_sizes");
-  std::vector<std::vector<uint32_t>> sizes(m);
-  pool.ParallelForChunked(0, m, 512, [&](uint64_t lo, uint64_t hi) {
-    ESD_TRACE_SPAN("build.extract_sizes.chunk");
-    for (uint64_t e = lo; e < hi; ++e) {
-      sizes[e] = dsu.ComponentSizes(static_cast<EdgeId>(e));
-    }
-  });
-
-  if (m_out != nullptr) {
-    m_out->clear();
-    m_out->resize(m);
-    auto& out = *m_out;
-    pool.ParallelForChunked(0, m, 512, [&](uint64_t lo, uint64_t hi) {
-      for (uint64_t e = lo; e < hi; ++e) {
-        out[e] = dsu.ToKeyedDsu(static_cast<EdgeId>(e));
-      }
-    });
-  }
-  return sizes;
+  return dsu;
 }
 
 // Non-ESD scorer path: the bulk build is embarrassingly parallel over edges
@@ -138,16 +115,51 @@ std::vector<std::vector<uint32_t>> ParallelScorerValues(
 EsdIndex BuildIndexParallel(const Graph& g, unsigned num_threads,
                             std::vector<KeyedDsu>* m_out, ParallelMode mode) {
   util::ThreadPool pool(num_threads);
+  const EdgeId m = g.NumEdges();
+  std::vector<std::vector<uint32_t>> sizes(m);
+  {
+    obs::PhaseSeries phases;
+    EdgeDsuArena dsu = ParallelUnions(g, pool, mode, &phases);
+    // Phase 3: component-size extraction, parallel over edges. Arena
+    // slices of different edges are disjoint, so no synchronization is
+    // needed.
+    phases.Begin("build.extract_sizes");
+    pool.ParallelForChunked(0, m, 512, [&](uint64_t lo, uint64_t hi) {
+      ESD_TRACE_SPAN("build.extract_sizes.chunk");
+      for (uint64_t e = lo; e < hi; ++e) {
+        sizes[e] = dsu.ComponentSizes(static_cast<EdgeId>(e));
+      }
+    });
+    if (m_out != nullptr) {
+      m_out->clear();
+      m_out->resize(m);
+      auto& out = *m_out;
+      pool.ParallelForChunked(0, m, 512, [&](uint64_t lo, uint64_t hi) {
+        for (uint64_t e = lo; e < hi; ++e) {
+          out[e] = dsu.ToKeyedDsu(static_cast<EdgeId>(e));
+        }
+      });
+    }
+  }
   EsdIndex index;
-  index.BulkLoad(g.Edges(), ParallelComponentSizes(g, pool, mode, m_out));
+  index.BulkLoad(g.Edges(), std::move(sizes));
   return index;
 }
 
 FrozenEsdIndex BuildFrozenIndexParallel(const Graph& g, unsigned num_threads,
                                         ParallelMode mode) {
   util::ThreadPool pool(num_threads);
-  return FrozenEsdIndex::FromEdgeSizes(
-      g.Edges(), ParallelComponentSizes(g, pool, mode, nullptr));
+  std::vector<uint64_t> size_offsets;
+  std::vector<uint32_t> size_pool;
+  {
+    obs::PhaseSeries phases;
+    EdgeDsuArena dsu = ParallelUnions(g, pool, mode, &phases);
+    // Phase 3: component sizes straight into the image's CSR pool.
+    phases.Begin("build.extract_sizes");
+    dsu.PackComponentSizes(&pool, &size_offsets, &size_pool);
+  }
+  return FrozenEsdIndex::FromPackedSizes(g.Edges(), std::move(size_offsets),
+                                         std::move(size_pool));
 }
 
 EsdIndex BuildIndexParallel(const Graph& g, const DiversityScorer& scorer,

@@ -24,7 +24,9 @@ enum class ParallelMode {
 /// Parallel index construction (Section IV-E, "PESDIndex+").
 ///
 /// Parallelizes the three phases of Algorithm 3:
-///   1. per-edge disjoint-set initialization (edges are independent),
+///   1. per-edge disjoint-set initialization, filled by a triangle pass
+///      over the degree-ordered DAG that is parallel over vertices (the
+///      same DAG then serves phase 2),
 ///   2. 4-clique enumeration, parallel over directed edges of the DAG by
 ///      default (see ParallelMode) — with each union on M_e guarded by a
 ///      striped spinlock keyed by e,
@@ -39,9 +41,10 @@ EsdIndex BuildIndexParallel(const graph::Graph& g, unsigned num_threads,
                             ParallelMode mode = ParallelMode::kEdgeParallel);
 
 /// Frozen-output path of the parallel builder: same three parallel phases,
-/// but the per-edge size multisets are emitted straight into the CSR slabs
-/// of a FrozenEsdIndex — no treaps are ever constructed. Produces identical
-/// query answers to Freeze(BuildIndexParallel(g, ...)).
+/// but phase 3 writes the component sizes straight into the image's CSR
+/// size pool and FrozenEsdIndex::FromPackedSizes builds the slabs — no
+/// treaps and no per-edge vectors are ever constructed. The image equals
+/// Freeze(BuildIndexClique(g)) exactly.
 FrozenEsdIndex BuildFrozenIndexParallel(
     const graph::Graph& g, unsigned num_threads,
     ParallelMode mode = ParallelMode::kEdgeParallel);

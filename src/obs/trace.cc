@@ -177,7 +177,11 @@ void PhaseSeries::Begin(const char* phase) {
 void PhaseSeries::End() {
   if (current_ == nullptr) return;
   const uint64_t dur_ns = MonotonicNanos() - start_ns_;
-  Tracer::Global().RecordComplete(current_, start_ns_, dur_ns);
+  // The span obeys the tracer's runtime gate like TraceSpan does (a
+  // disarmed tracer creates no ring); the gauge is always updated.
+  if (Tracer::Global().enabled()) {
+    Tracer::Global().RecordComplete(current_, start_ns_, dur_ns);
+  }
   registry_
       ->GetGauge("esd_phase_" + MetricRegistry::SanitizeName(current_) +
                      "_seconds",

@@ -198,7 +198,8 @@ class TraceSpan {
 /// Each finished phase (a) adds its elapsed seconds to the registry gauge
 /// `esd_phase_<sanitized name>_seconds` — present in both ESD_OBS modes,
 /// this is what fig6's per-phase JSON breakdown reads — and (b) records a
-/// trace span under the phase name when tracing is compiled in.
+/// trace span under the phase name when tracing is compiled in and the
+/// tracer is enabled.
 class PhaseSeries {
  public:
   /// Phases accumulate into `registry` (the process-wide registry by

@@ -1,23 +1,30 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/vertex_diversity.h"
 #include "baselines/vertex_diversity_index.h"
+#include "cliques/triangle.h"
 #include "core/dynamic_index.h"
 #include "core/edge_dsu_arena.h"
 #include "core/ego_network.h"
 #include "core/index_builder.h"
 #include "core/index_io.h"
 #include "gen/chung_lu.h"
+#include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "gen/holme_kim.h"
 #include "graph/builder.h"
+#include "graph/orientation.h"
+#include "obs/metrics.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace esd {
 namespace {
@@ -96,6 +103,125 @@ TEST(EdgeDsuArenaTest, ParallelFillMatchesSerial) {
     auto b = parallel.Members(e);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+  }
+}
+
+// From the definition: w is a member of uv iff w neighbors both ends.
+std::vector<VertexId> CommonNeighborhoodByDefinition(const Graph& g,
+                                                     EdgeId e) {
+  const Edge& uv = g.EdgeAt(e);
+  std::vector<VertexId> out;
+  for (VertexId w = 0; w < g.NumVertices(); ++w) {
+    if (g.HasEdge(uv.u, w) && g.HasEdge(uv.v, w)) out.push_back(w);
+  }
+  return out;
+}
+
+void ExpectMembers(const std::vector<std::vector<VertexId>>& want,
+                   const core::EdgeDsuArena& arena, const std::string& what) {
+  ASSERT_EQ(arena.NumEdges(), want.size()) << what;
+  size_t total = 0;
+  for (EdgeId e = 0; e < want.size(); ++e) {
+    auto got = arena.Members(e);
+    ASSERT_EQ(std::vector<VertexId>(got.begin(), got.end()), want[e])
+        << what << " edge " << e;
+    total += want[e].size();
+  }
+  EXPECT_EQ(arena.TotalMembers(), total) << what;
+}
+
+// Graphs whose hubs make the unoriented common-neighbor merge expensive,
+// plus the degenerate shapes of the triangle pass.
+std::vector<std::pair<std::string, Graph>> ArenaShapes() {
+  std::vector<std::pair<std::string, Graph>> out;
+  // Both are WithCelebrityHubs(HolmeKim(...)): a hub clique whose members
+  // each follow hundreds of users.
+  out.emplace_back("pokec-s@0.04",
+                   gen::LoadStandardDataset("pokec-s", 0.04).graph);
+  out.emplace_back("livejournal-s@0.03",
+                   gen::LoadStandardDataset("livejournal-s", 0.03).graph);
+  graph::GraphBuilder star(41);
+  for (VertexId leaf = 1; leaf <= 40; ++leaf) star.AddEdge(0, leaf);
+  out.emplace_back("star", star.Build());
+  graph::GraphBuilder clique(12);
+  for (VertexId a = 0; a < 12; ++a) {
+    for (VertexId b = a + 1; b < 12; ++b) clique.AddEdge(a, b);
+  }
+  out.emplace_back("K12", clique.Build());
+  graph::GraphBuilder isolated(30);  // a triangle, a K4, 23 isolated ids
+  isolated.AddEdge(3, 9);
+  isolated.AddEdge(9, 17);
+  isolated.AddEdge(3, 17);
+  for (VertexId a : {20u, 22u, 25u, 29u}) {
+    for (VertexId b : {20u, 22u, 25u, 29u}) {
+      if (a < b) isolated.AddEdge(a, b);
+    }
+  }
+  out.emplace_back("isolated", isolated.Build());
+  out.emplace_back("empty", Graph());
+  return out;
+}
+
+TEST(EdgeDsuArenaTest, TrianglePassMatchesDefinitionSeriallyAndOnPools) {
+  for (const auto& [name, g] : ArenaShapes()) {
+    std::vector<std::vector<VertexId>> want(g.NumEdges());
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      want[e] = CommonNeighborhoodByDefinition(g, e);
+    }
+    ExpectMembers(want, core::EdgeDsuArena(g), name + " serial");
+    const graph::DegreeOrderedDag dag(g);
+    for (unsigned threads : {1u, 2u, 4u}) {
+      util::ThreadPool pool(threads);
+      // Repeated so that the cursor scatter sees different interleavings.
+      for (int rep = 0; rep < 3; ++rep) {
+        ExpectMembers(
+            want, core::EdgeDsuArena(dag, &pool),
+            name + " threads=" + std::to_string(threads) +
+                " rep=" + std::to_string(rep));
+      }
+    }
+  }
+}
+
+TEST(EdgeDsuArenaTest, BuildGaugesCountTrianglesAndMembersExactly) {
+  const Graph g = gen::LoadStandardDataset("livejournal-s", 0.03).graph;
+  util::ThreadPool pool(2);
+  const core::EdgeDsuArena arena(g, &pool);
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  EXPECT_EQ(reg.GaugeValue("esd_build_triangles"),
+            static_cast<double>(cliques::CountTriangles(g)));
+  EXPECT_EQ(reg.GaugeValue("esd_build_arena_members"),
+            static_cast<double>(arena.TotalMembers()));
+  EXPECT_EQ(arena.TotalMembers(), 3 * cliques::CountTriangles(g));
+  // Each arena build sets the gauges; they do not accumulate.
+  const core::EdgeDsuArena empty{Graph()};
+  EXPECT_EQ(reg.GaugeValue("esd_build_triangles"), 0.0);
+  EXPECT_EQ(reg.GaugeValue("esd_build_arena_members"), 0.0);
+}
+
+TEST(EdgeDsuArenaTest, PackedComponentSizesMatchPerEdgeSizes) {
+  const Graph g = gen::LoadStandardDataset("pokec-s", 0.04).graph;
+  core::EdgeDsuArena arena(g);
+  util::Rng rng(17);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    auto members = arena.Members(e);
+    for (size_t i = 0; i + 1 < members.size(); ++i) {
+      if (rng.NextBounded(3) == 0) arena.Union(e, members[i], members[i + 1]);
+    }
+  }
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    std::vector<uint64_t> offsets;
+    std::vector<uint32_t> sizes;
+    arena.PackComponentSizes(p, &offsets, &sizes);
+    ASSERT_EQ(offsets.size(), g.NumEdges() + 1);
+    EXPECT_EQ(offsets.back(), sizes.size());
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      EXPECT_EQ(std::vector<uint32_t>(sizes.begin() + offsets[e],
+                                      sizes.begin() + offsets[e + 1]),
+                arena.ComponentSizes(e))
+          << "edge " << e;
+    }
   }
 }
 

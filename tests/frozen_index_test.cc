@@ -27,9 +27,11 @@
 #include "core/query_engine.h"
 #include "core/scorer.h"
 #include "gen/barabasi_albert.h"
+#include "gen/datasets.h"
 #include "gen/erdos_renyi.h"
 #include "graph/builder.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 namespace esd {
 namespace {
@@ -389,6 +391,179 @@ TEST(FrozenIndexTest, AdoptRejectsMalformedParts) {
     p.sizes.pop_back();  // C no longer matches the pool's distinct sizes
     expect_rejected(std::move(p));
   }
+}
+
+// The raw arrays of `frozen`, as Adopt takes them.
+FrozenEsdIndex::Parts PartsOf(const FrozenEsdIndex& frozen) {
+  FrozenEsdIndex::Parts p;
+  p.scorer = frozen.Scorer();
+  p.edges.assign(frozen.Edges().begin(), frozen.Edges().end());
+  p.live.assign(frozen.LiveMask().begin(), frozen.LiveMask().end());
+  p.size_offsets.assign(frozen.SizeOffsets().begin(),
+                        frozen.SizeOffsets().end());
+  p.size_pool.assign(frozen.SizePool().begin(), frozen.SizePool().end());
+  p.sizes.assign(frozen.Sizes().begin(), frozen.Sizes().end());
+  p.offsets.assign(frozen.SlabOffsets().begin(), frozen.SlabOffsets().end());
+  p.entries.assign(frozen.Entries().begin(), frozen.Entries().end());
+  return p;
+}
+
+// The slab build by definition: H(c) holds every live edge whose largest
+// value reaches c, scored |{x in C_e : x >= c}| and put in canonical order
+// by a plain std::sort.
+FrozenEsdIndex::Parts SortReferenceParts(
+    const std::vector<graph::Edge>& edges,
+    std::vector<std::vector<uint32_t>> sizes, std::vector<uint8_t> live,
+    core::ScorerKind scorer) {
+  FrozenEsdIndex::Parts p;
+  p.scorer = scorer;
+  p.edges = edges;
+  p.live = live.empty() ? std::vector<uint8_t>(edges.size(), 1) : live;
+  p.size_offsets.push_back(0);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (!p.live[e]) sizes[e].clear();
+    p.size_pool.insert(p.size_pool.end(), sizes[e].begin(), sizes[e].end());
+    p.size_offsets.push_back(p.size_pool.size());
+  }
+  p.sizes = p.size_pool;
+  std::sort(p.sizes.begin(), p.sizes.end());
+  p.sizes.erase(std::unique(p.sizes.begin(), p.sizes.end()), p.sizes.end());
+  p.offsets.push_back(0);
+  for (uint32_t c : p.sizes) {
+    std::vector<FrozenEsdIndex::Entry> slab;
+    for (size_t e = 0; e < edges.size(); ++e) {
+      const auto score = static_cast<uint32_t>(
+          std::count_if(sizes[e].begin(), sizes[e].end(),
+                        [c](uint32_t x) { return x >= c; }));
+      if (score > 0) {
+        slab.push_back({score, static_cast<graph::EdgeId>(e)});
+      }
+    }
+    std::sort(slab.begin(), slab.end(),
+              [](const FrozenEsdIndex::Entry& a,
+                 const FrozenEsdIndex::Entry& b) {
+                return a.score != b.score ? a.score > b.score : a.e < b.e;
+              });
+    p.entries.insert(p.entries.end(), slab.begin(), slab.end());
+    p.offsets.push_back(p.entries.size());
+  }
+  return p;
+}
+
+// FromEdgeSizes equals the sort reference and passes Adopt's validation.
+void ExpectSlabBuildMatchesReference(
+    const std::vector<graph::Edge>& edges,
+    const std::vector<std::vector<uint32_t>>& sizes,
+    const std::vector<uint8_t>& live, const std::string& what,
+    core::ScorerKind scorer = core::ScorerKind::kEsd) {
+  const FrozenEsdIndex built =
+      FrozenEsdIndex::FromEdgeSizes(edges, sizes, live, scorer);
+  FrozenEsdIndex want;
+  std::string error;
+  ASSERT_TRUE(FrozenEsdIndex::Adopt(
+      SortReferenceParts(edges, sizes, live, scorer), &want, &error))
+      << what << ": " << error;
+  EXPECT_TRUE(built == want) << what;
+  FrozenEsdIndex adopted;
+  EXPECT_TRUE(FrozenEsdIndex::Adopt(PartsOf(built), &adopted, &error))
+      << what << ": " << error;
+  EXPECT_TRUE(adopted == built) << what;
+}
+
+TEST(FrozenIndexTest, CountingSortSlabBuildMatchesSortReference) {
+  util::Rng rng(0x51AB);
+  auto edges_of = [](size_t n) {
+    std::vector<graph::Edge> edges;
+    for (graph::VertexId e = 0; e < n; ++e) edges.push_back({e, e + 1});
+    return edges;
+  };
+  // Random multisets over a small value range, so scores tie often, with
+  // empty multisets and freed slots mixed in. A freed slot's multiset is
+  // dropped even when the caller passes one.
+  for (int round = 0; round < 60; ++round) {
+    const size_t n = rng.NextBounded(40);
+    const uint32_t max_value = 1 + static_cast<uint32_t>(rng.NextBounded(9));
+    std::vector<std::vector<uint32_t>> sizes(n);
+    std::vector<uint8_t> live;
+    if (round % 2 == 1) live.assign(n, 1);
+    for (size_t e = 0; e < n; ++e) {
+      const size_t len = rng.NextBounded(6);
+      for (size_t i = 0; i < len; ++i) {
+        sizes[e].push_back(1 + static_cast<uint32_t>(rng.NextBounded(max_value)));
+      }
+      std::sort(sizes[e].begin(), sizes[e].end());
+      if (!live.empty() && rng.NextBounded(5) == 0) live[e] = 0;
+    }
+    ExpectSlabBuildMatchesReference(edges_of(n), sizes, live,
+                                    "round " + std::to_string(round));
+  }
+  // No edges; edges with only empty multisets (C is empty); every slot
+  // freed.
+  ExpectSlabBuildMatchesReference({}, {}, {}, "no edges");
+  ExpectSlabBuildMatchesReference(edges_of(5), std::vector<std::vector<uint32_t>>(5),
+                                  {}, "all empty");
+  ExpectSlabBuildMatchesReference(edges_of(3), {{1, 2}, {2}, {4}},
+                                  {0, 0, 0}, "all freed");
+  // One value everywhere: a single slab, every score a tie broken by id.
+  ExpectSlabBuildMatchesReference(
+      edges_of(6), {{3}, {3, 3}, {}, {3}, {3, 3, 3}, {3, 3}}, {},
+      "single slab");
+  // Values far above the pool length take the sorting path for C.
+  ExpectSlabBuildMatchesReference(
+      edges_of(4), {{7, 1000000}, {1000000}, {5, 5, 4000000000u}, {7}}, {},
+      "large values", core::ScorerKind::kEgoBetweenness);
+}
+
+TEST(FrozenIndexTest, ParallelBuildEqualsFrozenTreapBuildOnStandardDatasets) {
+  for (const std::string& name : gen::StandardDatasetNames()) {
+    const graph::Graph g = gen::LoadStandardDataset(name, 0.2).graph;
+    const FrozenEsdIndex want = core::Freeze(core::BuildIndexClique(g));
+    EXPECT_TRUE(core::BuildFrozenIndex(g) == want) << name;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      EXPECT_TRUE(core::BuildFrozenIndexParallel(g, threads) == want)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(FrozenIndexTest, EnginesReportIdenticalScanCounters) {
+  // The triangle-plus-path graph of PadEdgesWalkedCounterIsExact, and a
+  // random graph with several slabs.
+  graph::GraphBuilder b;
+  b.AddEdge(0, 1);
+  b.AddEdge(0, 2);
+  b.AddEdge(1, 2);
+  b.AddEdge(2, 3);
+  b.AddEdge(3, 4);
+  const graph::Graph path = b.Build();
+  for (const graph::Graph& g : {path, gen::ErdosRenyiGnm(40, 200, 5)}) {
+    const EsdIndex treap = core::BuildIndexClique(g);
+    const FrozenEsdIndex frozen = core::Freeze(treap);
+    const uint32_t m = static_cast<uint32_t>(g.NumEdges());
+    for (uint32_t tau : {1u, 2u, 3u, 50u}) {
+      for (uint32_t k : {1u, 3u, m / 2, m, m + 5}) {
+        for (bool pad : {true, false}) {
+          const core::EngineCounters t0 = treap.Counters();
+          const core::EngineCounters f0 = frozen.Counters();
+          EXPECT_EQ(treap.Query(k, tau, pad), frozen.Query(k, tau, pad));
+          const core::EngineCounters t1 = treap.Counters();
+          const core::EngineCounters f1 = frozen.Counters();
+          EXPECT_EQ(t1.entries_scanned - t0.entries_scanned,
+                    f1.entries_scanned - f0.entries_scanned)
+              << "k=" << k << " tau=" << tau << " pad=" << pad;
+          EXPECT_EQ(t1.pad_edges_walked - t0.pad_edges_walked,
+                    f1.pad_edges_walked - f0.pad_edges_walked)
+              << "k=" << k << " tau=" << tau << " pad=" << pad;
+        }
+      }
+    }
+  }
+  // On the 5-edge graph, Query(10, 1) scans the 3-entry slab H(1) and pads
+  // the other two edges: 3 entries scanned in both engines.
+  const EsdIndex treap = core::BuildIndexClique(path);
+  const uint64_t before = treap.Counters().entries_scanned;
+  EXPECT_EQ(treap.Query(10, 1).size(), 5u);
+  EXPECT_EQ(treap.Counters().entries_scanned - before, 3u);
 }
 
 TEST(IndexIoV2Test, FrozenRoundTripV2) {

@@ -467,6 +467,25 @@ TEST(ObsTraceTest, NamingAThreadRegistersNoRingUntilItRecords) {
   EXPECT_EQ(json.find("obs_test.early_name"), std::string::npos);
 }
 
+TEST(ObsTraceTest, DisarmedTracerPhaseRecordsNoSpanButFeedsItsGauge) {
+  Tracer& tracer = Tracer::Global();
+  MetricRegistry reg;
+  const size_t tracks_before = CountTracks(tracer.ChromeTraceJson());
+  const uint64_t events_before = tracer.NumEventsRecorded();
+  tracer.SetEnabled(false);
+  std::thread([&reg] {
+    obs::PhaseSeries phases(&reg);
+    phases.Begin("test.disarmed");
+    const uint64_t start = obs::MonotonicNanos();
+    while (obs::MonotonicNanos() - start < 100'000) {
+    }
+  }).join();
+  tracer.SetEnabled(true);
+  EXPECT_EQ(tracer.NumEventsRecorded(), events_before);
+  EXPECT_EQ(CountTracks(tracer.ChromeTraceJson()), tracks_before);
+  EXPECT_GT(reg.GaugeValue("esd_phase_test_disarmed_seconds"), 0.0);
+}
+
 TEST(ObsTraceTest, RingWrapKeepsNewestCapacityEvents) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
