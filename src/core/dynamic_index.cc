@@ -36,47 +36,140 @@ obs::Counter& TouchedCounter() {
 
 }  // namespace
 
-DynamicEsdIndex::DynamicEsdIndex(const graph::Graph& g,
-                                 DeletionStrategy strategy)
-    : DynamicEsdIndex(g, EsdScorer(), strategy) {}
-
-DynamicEsdIndex::DynamicEsdIndex(const graph::Graph& g,
-                                 const DiversityScorer& scorer,
-                                 DeletionStrategy strategy)
+MultisetMaintainer::MultisetMaintainer(const graph::Graph& g,
+                                       const DiversityScorer& scorer,
+                                       DeletionStrategy strategy)
     : graph_(g),
       scorer_(&scorer),
       use_dsu_(scorer.Kind() == ScorerKind::kEsd),
-      strategy_(strategy) {
-  index_ = use_dsu_ ? BuildIndexClique(g, &dsu_) : BuildIndex(g, scorer);
+      strategy_(strategy),
+      edges_(g.Edges()),
+      live_(g.NumEdges(), 1) {
+  const std::vector<std::vector<uint32_t>> sizes =
+      use_dsu_ ? CliqueComponentSizes(g, &dsu_) : scorer.BuildAllEdgeValues(g);
+  runs_.resize(sizes.size());
+  for (EdgeId e = 0; e < sizes.size(); ++e) stored_ += sizes[e].size();
+  pool_.reserve(stored_);
+  for (EdgeId e = 0; e < sizes.size(); ++e) {
+    const uint32_t len = static_cast<uint32_t>(sizes[e].size());
+    runs_[e] = Run{pool_.size(), len, len};
+    pool_.insert(pool_.end(), sizes[e].begin(), sizes[e].end());
+  }
   ids_.Reserve(g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const Edge& uv = g.EdgeAt(e);
-    ids_.Insert(Key(uv.u, uv.v), e);
+    ids_.Insert(Key(edges_[e].u, edges_[e].v), e);
   }
 }
 
-EdgeId DynamicEsdIndex::IdOf(VertexId u, VertexId v) const {
+EdgeId MultisetMaintainer::IdOf(VertexId u, VertexId v) const {
   const EdgeId* e = ids_.Find(Key(u, v));
   assert(e != nullptr);
   return *e;
 }
 
-std::vector<uint32_t> DynamicEsdIndex::ValuesFor(EdgeId e) {
-  if (use_dsu_) return dsu_[e].ComponentSizes();
-  const Edge uv = index_.EdgeAt(e);
-  return scorer_->EdgeValues(graph_, uv.u, uv.v);
+EdgeId MultisetMaintainer::RegisterEdge(Edge uv) {
+  EdgeId e;
+  if (!free_ids_.empty()) {
+    e = free_ids_.back();
+    free_ids_.pop_back();
+    edges_[e] = uv;
+    live_[e] = 1;
+  } else {
+    e = static_cast<EdgeId>(edges_.size());
+    edges_.push_back(uv);
+    live_.push_back(1);
+    runs_.push_back(Run{pool_.size(), 0, 0});
+  }
+  if (lists_ != nullptr) {
+    const EdgeId mirrored = lists_->RegisterEdge(uv);
+    assert(mirrored == e);
+    (void)mirrored;
+  }
+  ids_[Key(uv.u, uv.v)] = e;
+  return e;
 }
 
-void DynamicEsdIndex::RefreshScores(EdgeId e) {
+void MultisetMaintainer::UnregisterEdge(EdgeId e) {
+  assert(live_[e] && runs_[e].size == 0);
+  live_[e] = 0;
+  free_ids_.push_back(e);
+  if (lists_ != nullptr) lists_->UnregisterEdge(e);
+  ids_.Erase(Key(edges_[e].u, edges_[e].v));
+}
+
+void MultisetMaintainer::SetSizes(EdgeId e, std::vector<uint32_t> sizes) {
+  const std::span<const uint32_t> old = EdgeSizes(e);
+  if (std::equal(old.begin(), old.end(), sizes.begin(), sizes.end())) return;
+  Run& run = runs_[e];
+  stored_ = stored_ - run.size + sizes.size();
+  if (sizes.size() > run.capacity) {
+    run.offset = pool_.size();
+    run.capacity = static_cast<uint32_t>(sizes.size());
+    pool_.resize(pool_.size() + sizes.size());
+  }
+  run.size = static_cast<uint32_t>(sizes.size());
+  std::copy(sizes.begin(), sizes.end(), pool_.begin() + run.offset);
+  if (pool_.size() > 2 * stored_ + 64) CompactPool();
+  if (lists_ != nullptr) lists_->SetEdgeSizes(e, std::move(sizes));
+}
+
+void MultisetMaintainer::CompactPool() {
+  std::vector<uint32_t> packed;
+  packed.reserve(stored_);
+  for (Run& run : runs_) {
+    const uint64_t at = packed.size();
+    packed.insert(packed.end(), pool_.begin() + run.offset,
+                  pool_.begin() + run.offset + run.size);
+    run = Run{at, run.size, run.size};
+  }
+  pool_.swap(packed);
+}
+
+void MultisetMaintainer::CopyForFreeze(FreezeCopy* out) const {
+  out->scorer = Scorer();
+  out->edges = edges_;
+  out->live = live_;
+  out->runs = runs_;
+  out->pool = pool_;
+}
+
+FrozenEsdIndex MultisetMaintainer::FreezeCopied(FreezeCopy copy) {
+  const size_t n = copy.edges.size();
+  std::vector<uint64_t> size_offsets(n + 1, 0);
+  for (EdgeId e = 0; e < n; ++e) {
+    size_offsets[e + 1] = size_offsets[e] + copy.runs[e].size;
+  }
+  std::vector<uint32_t> size_pool(size_offsets[n]);
+  for (EdgeId e = 0; e < n; ++e) {
+    const Run& run = copy.runs[e];
+    std::copy_n(copy.pool.begin() + run.offset, run.size,
+                size_pool.begin() + size_offsets[e]);
+  }
+  return FrozenEsdIndex::FromPackedSizes(
+      std::move(copy.edges), std::move(size_offsets), std::move(size_pool),
+      std::move(copy.live), copy.scorer);
+}
+
+FrozenEsdIndex Freeze(const MultisetMaintainer& writer) {
+  MultisetMaintainer::FreezeCopy copy;
+  writer.CopyForFreeze(&copy);
+  return MultisetMaintainer::FreezeCopied(std::move(copy));
+}
+
+std::vector<uint32_t> MultisetMaintainer::ValuesFor(EdgeId e) {
+  if (use_dsu_) return dsu_[e].ComponentSizes();
+  return scorer_->EdgeValues(graph_, edges_[e].u, edges_[e].v);
+}
+
+void MultisetMaintainer::RefreshScores(EdgeId e) {
   if (batch_mode_) {
-    const Edge uv = index_.EdgeAt(e);
-    pending_refresh_.Insert(Key(uv.u, uv.v));
+    pending_refresh_.Insert(Key(edges_[e].u, edges_[e].v));
     return;
   }
-  index_.SetEdgeSizes(e, ValuesFor(e));
+  SetSizes(e, ValuesFor(e));
 }
 
-size_t DynamicEsdIndex::ApplyBatch(std::span<const EdgeUpdate> updates) {
+size_t MultisetMaintainer::ApplyBatch(std::span<const EdgeUpdate> updates) {
   batch_mode_ = true;
   pending_refresh_.Clear();
   size_t applied = 0;
@@ -90,7 +183,7 @@ size_t DynamicEsdIndex::ApplyBatch(std::span<const EdgeUpdate> updates) {
   pending_refresh_.ForEach([this, &touched](uint64_t key) {
     const EdgeId* e = ids_.Find(key);
     if (e != nullptr) {  // skip edges deleted later in the batch
-      index_.SetEdgeSizes(*e, ValuesFor(*e));
+      SetSizes(*e, ValuesFor(*e));
       ++touched;
     }
   });
@@ -99,12 +192,11 @@ size_t DynamicEsdIndex::ApplyBatch(std::span<const EdgeUpdate> updates) {
   return applied;
 }
 
-bool DynamicEsdIndex::InsertEdge(VertexId u, VertexId v) {
+bool MultisetMaintainer::InsertEdge(VertexId u, VertexId v) {
   ESD_TRACE_SPAN("maintain.insert");
   if (!graph_.InsertEdge(u, v)) return false;
   InsertCounter().Inc();
-  const Edge uv = graph::MakeEdge(u, v);
-  const EdgeId e = index_.RegisterEdge(uv);
+  const EdgeId e = RegisterEdge(graph::MakeEdge(u, v));
   if (use_dsu_) {
     if (e >= dsu_.size()) {
       dsu_.resize(e + 1);
@@ -112,7 +204,6 @@ bool DynamicEsdIndex::InsertEdge(VertexId u, VertexId v) {
       dsu_[e] = KeyedDsu();
     }
   }
-  ids_[Key(u, v)] = e;
 
   // Lines 2-9 of Algorithm 4: the common neighborhood seeds M_uv, and the
   // new edge makes v a common neighbor of every (u, w) — and u of every
@@ -166,7 +257,7 @@ bool DynamicEsdIndex::InsertEdge(VertexId u, VertexId v) {
   return true;
 }
 
-bool DynamicEsdIndex::DeleteEdge(VertexId u, VertexId v) {
+bool MultisetMaintainer::DeleteEdge(VertexId u, VertexId v) {
   ESD_TRACE_SPAN("maintain.delete");
   const uint64_t key = Key(u, v);
   const EdgeId* pe = ids_.Find(key);
@@ -242,16 +333,15 @@ bool DynamicEsdIndex::DeleteEdge(VertexId u, VertexId v) {
   for (EdgeId a : affected) RefreshScores(a);
 
   // Lines 22-23: drop the deleted edge itself.
-  index_.SetEdgeSizes(e, {});
-  index_.UnregisterEdge(e);
+  SetSizes(e, {});
+  UnregisterEdge(e);
   if (use_dsu_) dsu_[e] = KeyedDsu();
-  ids_.Erase(key);
   last_touched_ = affected.size() + 1;
   TouchedCounter().Inc(last_touched_);
   return true;
 }
 
-size_t DynamicEsdIndex::RemoveVertexEdges(graph::VertexId v) {
+size_t MultisetMaintainer::RemoveVertexEdges(graph::VertexId v) {
   if (v >= graph_.NumVertices()) return 0;
   auto nbrs = graph_.Neighbors(v);
   std::vector<EdgeUpdate> batch;
@@ -262,8 +352,8 @@ size_t DynamicEsdIndex::RemoveVertexEdges(graph::VertexId v) {
   return ApplyBatch(batch);
 }
 
-void DynamicEsdIndex::RebuildDsu(EdgeId e) {
-  const Edge xy = index_.EdgeAt(e);
+void MultisetMaintainer::RebuildDsu(EdgeId e) {
+  const Edge xy = edges_[e];
   KeyedDsu fresh;
   std::vector<VertexId> common = graph_.CommonNeighbors(xy.u, xy.v);
   fresh.Reserve(common.size());
@@ -280,10 +370,10 @@ void DynamicEsdIndex::RebuildDsu(EdgeId e) {
   dsu_[e] = std::move(fresh);
 }
 
-void DynamicEsdIndex::TargetedRepair(EdgeId e, VertexId z) {
+void MultisetMaintainer::TargetedRepair(EdgeId e, VertexId z) {
   KeyedDsu& m = dsu_[e];
   if (!m.Contains(z)) return;
-  const Edge xy = index_.EdgeAt(e);
+  const Edge xy = edges_[e];
   std::vector<VertexId> stale = m.ComponentMembers(z);
   m.RemoveComponent(z);
   // Re-admit members still in N(xy) as singletons (lines 28-30), then
@@ -305,9 +395,25 @@ void DynamicEsdIndex::TargetedRepair(EdgeId e, VertexId z) {
   }
 }
 
-uint32_t DynamicEsdIndex::ScoreOf(VertexId u, VertexId v,
-                                  uint32_t tau) const {
-  return index_.ScoreOf(IdOf(u, v), tau);
+DynamicEsdIndex::DynamicEsdIndex(const graph::Graph& g,
+                                 DeletionStrategy strategy)
+    : DynamicEsdIndex(g, EsdScorer(), strategy) {}
+
+DynamicEsdIndex::DynamicEsdIndex(const graph::Graph& g,
+                                 const DiversityScorer& scorer,
+                                 DeletionStrategy strategy)
+    : maintainer_(g, scorer, strategy) {
+  const size_t m = maintainer_.EdgeSlotCount();
+  std::vector<Edge> edges(m);
+  std::vector<std::vector<uint32_t>> sizes(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    edges[e] = maintainer_.EdgeAt(e);
+    const std::span<const uint32_t> values = maintainer_.EdgeSizes(e);
+    sizes[e].assign(values.begin(), values.end());
+  }
+  index_.BulkLoad(std::move(edges), std::move(sizes));
+  index_.SetScorerKind(scorer.Kind());
+  maintainer_.AttachLists(&index_);
 }
 
 }  // namespace esd::core

@@ -202,6 +202,7 @@ uint64_t EsdIndex::CountWithScoreAtLeast(uint32_t tau,
                                          uint32_t min_score) const {
   if (min_score == 0) return NumRegisteredEdges();
   if (tau == 0) return 0;
+  counters_.AddSlabSearch();
   auto it = lists_.lower_bound(tau);
   if (it == lists_.end()) return 0;
   // Entries are ordered by score descending; everything ranked before the
@@ -213,6 +214,7 @@ TopKResult EsdIndex::QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
                                            size_t limit) const {
   TopKResult out;
   if (tau == 0 || min_score == 0) return out;
+  counters_.AddSlabSearch();
   auto it = lists_.lower_bound(tau);
   if (it == lists_.end()) return out;
   it->second.ForEachInOrder([&](const Entry& entry) {
@@ -221,6 +223,7 @@ TopKResult EsdIndex::QueryWithScoreAtLeast(uint32_t tau, uint32_t min_score,
     out.push_back(ScoredEdge{edges_[entry.e], entry.score});
     return true;
   });
+  counters_.AddEntriesScanned(out.size());
   return out;
 }
 

@@ -42,26 +42,11 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
     g.adj_vertex_[cursor[uv.v]] = uv.u;
     g.adj_edge_[cursor[uv.v]++] = e;
   }
-  // Edge list is sorted lexicographically, and we appended in edge order, so
-  // each vertex's higher-endpoint neighbors are already ascending; the
-  // lower-endpoint entries (u as the larger endpoint) are also appended in
-  // ascending first-endpoint order. The two runs interleave, so sort each
-  // adjacency slice by neighbor id (stable small sort).
-  for (size_t u = 0; u < n; ++u) {
-    uint64_t lo = g.offsets_[u];
-    uint64_t hi = g.offsets_[u + 1];
-    // Sort (vertex, edge) jointly.
-    std::vector<std::pair<VertexId, EdgeId>> tmp;
-    tmp.reserve(hi - lo);
-    for (uint64_t i = lo; i < hi; ++i) {
-      tmp.emplace_back(g.adj_vertex_[i], g.adj_edge_[i]);
-    }
-    std::sort(tmp.begin(), tmp.end());
-    for (uint64_t i = lo; i < hi; ++i) {
-      g.adj_vertex_[i] = tmp[i - lo].first;
-      g.adj_edge_[i] = tmp[i - lo].second;
-    }
-  }
+  // No per-slice sort is needed: the edge list is sorted lexicographically
+  // with u < v, so every edge (a, x) with a < x precedes every edge (x, b)
+  // with b > x. Each slice of x therefore receives its lower neighbours
+  // first, in ascending a, then its higher ones, in ascending b, and
+  // adj_edge_ stays paired with adj_vertex_.
   return g;
 }
 

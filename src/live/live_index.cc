@@ -65,7 +65,7 @@ LiveEsdIndex::LiveEsdIndex(const LiveOptions& options, RecoveredState recovered)
   manager_ = std::make_unique<EpochSnapshotManager>(
       recovered_.graph.Snapshot(), recovered_.applied_seq,
       options_.pool_threads, core::ScorerForKind(options_.scorer),
-      options_.serve_filter, options_.fault_site_suffix);
+      &Registry(options_), options_.serve_filter, options_.fault_site_suffix);
   manager_->ConfigureBreaker(options_.refreeze_breaker_threshold,
                              options_.refreeze_breaker_cooldown);
   next_seq_ = recovered_.applied_seq + 1;

@@ -132,8 +132,8 @@ struct LiveStats {
 ///   1. append the update(s) to the WAL, fsync once per call (durability
 ///      point — an update is acknowledged only once it would survive
 ///      SIGKILL),
-///   2. apply to the writer-side DynamicEsdIndex (paper Section V
-///      maintenance),
+///   2. apply to the writer-side core::MultisetMaintainer (paper Section
+///      V maintenance of the per-edge multisets; no H(c) treaps),
 ///   3. every `refreeze_every` applied updates, queue a background
 ///      re-freeze that publishes a fresh immutable FrozenEsdIndex epoch.
 ///

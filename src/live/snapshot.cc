@@ -126,6 +126,10 @@ bool WriteFileAtomically(const std::string& path, const std::string& bytes,
   return true;
 }
 
+obs::MetricRegistry& RegistryOrGlobal(obs::MetricRegistry* registry) {
+  return registry != nullptr ? *registry : obs::MetricRegistry::Global();
+}
+
 }  // namespace
 
 SnapshotDirFsyncHandler SetSnapshotDirFsyncHandler(
@@ -210,16 +214,27 @@ EpochSnapshotManager::EpochSnapshotManager(const graph::Graph& base,
                                            uint64_t base_seq,
                                            unsigned pool_threads,
                                            const core::DiversityScorer& scorer,
+                                           obs::MetricRegistry* registry,
                                            ServeFilter serve_filter,
                                            const std::string& fault_site_suffix)
     : serve_filter_(std::move(serve_filter)),
       refreeze_site_("live.refreeze" + fault_site_suffix),
+      freeze_locked_us_(RegistryOrGlobal(registry).GetHistogram(
+          "esd_live_freeze_locked_us",
+          "refreeze time under the writer lock: copying edges, live mask "
+          "and multiset pool")),
+      slab_build_us_(RegistryOrGlobal(registry).GetHistogram(
+          "esd_live_slab_build_us",
+          "refreeze CSR packing and slab build, run off the writer lock")),
+      publish_us_(RegistryOrGlobal(registry).GetHistogram(
+          "esd_live_publish_us",
+          "epoch publish: serve mask, seq-guarded swap and epoch listener")),
       writer_(base, scorer),
       applied_seq_(base_seq),
       // Named track: background re-freezes show up as "refreeze-1" (etc.)
       // in Chrome trace exports instead of bare thread ids.
       pool_(std::max(2u, pool_threads), "refreeze") {
-  Publish(core::Freeze(writer_.Index()), base_seq);
+  Publish(core::Freeze(writer_), base_seq);
 }
 
 bool EpochSnapshotManager::Apply(const WalRecord& record,
@@ -248,14 +263,25 @@ bool EpochSnapshotManager::Apply(const WalRecord& record,
 
 bool EpochSnapshotManager::RefreezeNow() {
   ESD_TRACE_SPAN("live.refreeze");
-  core::FrozenEsdIndex frozen;
+  using Clock = std::chrono::steady_clock;
+  auto micros_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+        .count();
+  };
+  core::MultisetMaintainer::FreezeCopy copy;
   uint64_t seq;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const Clock::time_point locked_at = Clock::now();
     refreeze_queued_ = false;
-    frozen = core::Freeze(writer_.Index());
+    writer_.CopyForFreeze(&copy);
     seq = applied_seq_.load(std::memory_order_relaxed);
+    freeze_locked_us_.RecordMicros(micros_since(locked_at));
   }
+  Clock::time_point t0 = Clock::now();
+  core::FrozenEsdIndex frozen =
+      core::MultisetMaintainer::FreezeCopied(std::move(copy));
+  slab_build_us_.RecordMicros(micros_since(t0));
   // The freeze-to-publish window: mu_ is released, so newer updates can be
   // applied — and refrozen by another thread — before this image reaches
   // Publish. The fail point sits here on purpose: an error action models a
@@ -277,7 +303,9 @@ bool EpochSnapshotManager::RefreezeNow() {
     consecutive_failures_ = 0;
     breaker_open_.store(false, std::memory_order_relaxed);
   }
+  t0 = Clock::now();
   Publish(std::move(frozen), seq);
+  publish_us_.RecordMicros(micros_since(t0));
   return true;
 }
 
@@ -333,11 +361,11 @@ void EpochSnapshotManager::Publish(core::FrozenEsdIndex frozen,
   snap->published_at = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(published_mu_);
-    // Seq guard: freezes are built under mu_ but published after releasing
-    // it, so a slow freeze can arrive here after a faster one that folded
-    // in more updates. Publishing it would roll readers — and every
-    // epoch-keyed result-cache generation — back to a stale image; discard
-    // it instead. Epoch ids are assigned under this lock so (epoch,
+    // Seq guard: freezes copy the writer under mu_ but build and publish
+    // after releasing it, so a slow freeze can arrive here after a faster
+    // one that folded in more updates. Publishing it would roll readers —
+    // and every epoch-keyed result-cache generation — back to a stale
+    // image; discard it instead. Epoch ids are assigned under this lock so (epoch,
     // applied_seq) stay jointly monotone.
     if (published_ != nullptr && seq < published_->applied_seq) {
       publish_races_.fetch_add(1, std::memory_order_relaxed);

@@ -15,6 +15,7 @@
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "live/wal.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace esd::live {
@@ -70,23 +71,30 @@ using SnapshotDirFsyncHandler =
 SnapshotDirFsyncHandler SetSnapshotDirFsyncHandler(
     SnapshotDirFsyncHandler handler);
 
-/// Writer-side state of the live index: owns the maintained
-/// DynamicEsdIndex (Section V's Algorithms 4/5 keep it exact under edge
-/// updates) and periodically re-freezes it into an immutable
-/// FrozenEsdIndex published through an RCU-style std::shared_ptr swap.
+/// Writer-side state of the live index: owns a core::MultisetMaintainer —
+/// graph, edge registry, per-edge disjoint sets and value multisets, kept
+/// exact under edge updates by Section V's Algorithms 4/5, with no H(c)
+/// treaps (a freeze reads only the registry and the multisets) — and
+/// periodically re-freezes it into an immutable FrozenEsdIndex published
+/// through an RCU-style std::shared_ptr swap.
 ///
 /// Concurrency contract:
-///   * Apply/ApplyBatch/RefreezeNow/GraphCopy serialize on one writer
-///     mutex; callers (LiveEsdIndex) add their own WAL ordering on top.
+///   * Apply/GraphCopy and the copy half of RefreezeNow serialize on one
+///     writer mutex; callers (LiveEsdIndex) add their own WAL ordering on
+///     top.
+///   * A refreeze holds the writer mutex only to copy the edges, live mask
+///     and multiset pool (MultisetMaintainer::CopyForFreeze, four bulk
+///     copies); packing and the slab build run after releasing it, so
+///     writes proceed while the image is built. Refreezes may overlap one
+///     another; Publish's seq guard orders them.
 ///   * Current() never blocks on writers: one shared_ptr copy under a
 ///     dedicated publication mutex whose critical sections are O(1)
-///     pointer swaps (a refreeze builds the new image under the writer
-///     lock, outside the publication lock).
+///     pointer swaps.
 ///   * ScheduleRefreeze() coalesces: at most one background refreeze is
 ///     queued on the pool at a time.
 class EpochSnapshotManager {
  public:
-  /// Restricts which edges each PUBLISHED epoch serves; the writer index
+  /// Restricts which edges each PUBLISHED epoch serves; the writer state
   /// itself always maintains the full graph (so recovery, checkpoints, and
   /// per-edge maintenance stay whole-graph exact — scores depend on global
   /// 2-hop structure). A shard passes its ownership predicate here: every
@@ -94,16 +102,18 @@ class EpochSnapshotManager {
   /// it, partitioning serving memory while write work stays replicated.
   using ServeFilter = std::function<bool(graph::Edge)>;
 
-  /// Bootstraps the writer index from `base` (a from-scratch build under
+  /// Bootstraps the writer state from `base` (a from-scratch build under
   /// `scorer` — the ESD 4-clique build for the default EsdScorer()) and
   /// publishes epoch 0 covering `base_seq`. `scorer` must outlive the
   /// manager; the built-in scorers are process-lifetime singletons.
+  /// Refreeze timings go to `registry` (null = MetricRegistry::Global()).
   /// `fault_site_suffix` renames the "live.refreeze" fail point for this
   /// instance (per-shard chaos targeting); empty keeps the classic name.
   EpochSnapshotManager(const graph::Graph& base, uint64_t base_seq,
                        unsigned pool_threads,
                        const core::DiversityScorer& scorer =
                            core::EsdScorer(),
+                       obs::MetricRegistry* registry = nullptr,
                        ServeFilter serve_filter = {},
                        const std::string& fault_site_suffix = "");
 
@@ -113,7 +123,7 @@ class EpochSnapshotManager {
   EpochSnapshotManager(const EpochSnapshotManager&) = delete;
   EpochSnapshotManager& operator=(const EpochSnapshotManager&) = delete;
 
-  /// Applies one update at watermark `seq` to the writer index, growing
+  /// Applies one update at watermark `seq` to the writer state, growing
   /// the vertex set as needed (up to `max_vertex_id`). Returns true if the
   /// update changed the graph ("effective"); false for no-ops (duplicate
   /// insert, missing delete, self-loop) and for out-of-bounds endpoints
@@ -121,14 +131,17 @@ class EpochSnapshotManager {
   bool Apply(const WalRecord& record, graph::VertexId max_vertex_id,
              std::string* error);
 
-  /// Rebuilds the frozen image from the writer index and publishes it as a
-  /// new epoch. Synchronous; serializes with Apply. Returns false when the
-  /// rebuild failed (only possible via the live.refreeze fail point today):
-  /// the previous epoch stays published and the circuit breaker counts the
-  /// failure — after `breaker_threshold` consecutive failures the breaker
-  /// opens and ScheduleRefreeze() skips work until `breaker_cooldown` has
-  /// passed, at which point the next schedule is the retry. A success
-  /// closes the breaker.
+  /// Rebuilds the frozen image from the writer state and publishes it as
+  /// a new epoch. Synchronous; only its copy half serializes with Apply
+  /// (the esd_live_freeze_locked_us histogram; the slab build and publish
+  /// that follow are esd_live_slab_build_us and esd_live_publish_us).
+  /// Returns false when the rebuild failed (only possible via the
+  /// live.refreeze fail point today): the previous epoch stays published
+  /// and the circuit breaker counts the failure — after
+  /// `breaker_threshold` consecutive failures the breaker opens and
+  /// ScheduleRefreeze() skips work until `breaker_cooldown` has passed, at
+  /// which point the next schedule is the retry. A success closes the
+  /// breaker.
   bool RefreezeNow();
 
   /// Queues RefreezeNow on the pool unless one is already queued or the
@@ -183,12 +196,6 @@ class EpochSnapshotManager {
     return epochs_published_.load(std::memory_order_relaxed);
   }
 
-  /// Test/diagnostic access to the writer index. Not synchronized: callers
-  /// must quiesce writers first.
-  const core::DynamicEsdIndex& writer_unsynchronized() const {
-    return writer_;
-  }
-
  private:
   void Publish(core::FrozenEsdIndex frozen, uint64_t seq);
 
@@ -196,8 +203,13 @@ class EpochSnapshotManager {
   const ServeFilter serve_filter_;
   const std::string refreeze_site_;
 
+  /// Refreeze phase timings (registry-owned, resolved once).
+  obs::Histogram& freeze_locked_us_;
+  obs::Histogram& slab_build_us_;
+  obs::Histogram& publish_us_;
+
   mutable std::mutex mu_;  // guards writer_ and the breaker bookkeeping
-  core::DynamicEsdIndex writer_;
+  core::MultisetMaintainer writer_;
   bool refreeze_queued_ = false;
 
   // Refreeze circuit breaker (guarded by mu_ except the atomics, which are

@@ -556,6 +556,45 @@ TEST(FrozenIndexTest, EnginesReportIdenticalScanCounters) {
               << "k=" << k << " tau=" << tau << " pad=" << pad;
         }
       }
+      for (uint32_t min_score : {0u, 1u, 2u, 5u}) {
+        for (size_t limit : {size_t{0}, size_t{3}}) {
+          const core::EngineCounters t0 = treap.Counters();
+          const core::EngineCounters f0 = frozen.Counters();
+          EXPECT_EQ(treap.CountWithScoreAtLeast(tau, min_score),
+                    frozen.CountWithScoreAtLeast(tau, min_score));
+          EXPECT_EQ(treap.QueryWithScoreAtLeast(tau, min_score, limit),
+                    frozen.QueryWithScoreAtLeast(tau, min_score, limit));
+          const core::EngineCounters t1 = treap.Counters();
+          const core::EngineCounters f1 = frozen.Counters();
+          EXPECT_EQ(t1.entries_scanned - t0.entries_scanned,
+                    f1.entries_scanned - f0.entries_scanned)
+              << "tau=" << tau << " min_score=" << min_score
+              << " limit=" << limit;
+          EXPECT_EQ(t1.slab_searches - t0.slab_searches,
+                    f1.slab_searches - f0.slab_searches)
+              << "tau=" << tau << " min_score=" << min_score
+              << " limit=" << limit;
+        }
+      }
+    }
+  }
+  // At tau=2, min_score=1 the random graph's threshold calls read 91 slab
+  // entries and make two slab searches in both engines.
+  {
+    const EsdIndex treap =
+        core::BuildIndexClique(gen::ErdosRenyiGnm(40, 200, 5));
+    const FrozenEsdIndex frozen = core::Freeze(treap);
+    for (const core::EsdQueryEngine* engine :
+         {static_cast<const core::EsdQueryEngine*>(&treap),
+          static_cast<const core::EsdQueryEngine*>(&frozen)}) {
+      const core::EngineCounters c0 = engine->Counters();
+      EXPECT_EQ(engine->QueryWithScoreAtLeast(2, 1).size(), 91u);
+      EXPECT_EQ(engine->CountWithScoreAtLeast(2, 1), 91u);
+      const core::EngineCounters c1 = engine->Counters();
+      EXPECT_EQ(c1.entries_scanned - c0.entries_scanned, 91u)
+          << engine->EngineName();
+      EXPECT_EQ(c1.slab_searches - c0.slab_searches, 2u)
+          << engine->EngineName();
     }
   }
   // On the 5-edge graph, Query(10, 1) scans the 3-entry slab H(1) and pads

@@ -61,14 +61,26 @@ TEST(GraphTest, FromEdgesDropsSelfLoopsAndDuplicates) {
 }
 
 TEST(GraphTest, NeighborsSortedWithParallelEdgeIds) {
-  Graph g = Graph::FromEdges(5, {{3, 1}, {1, 0}, {1, 4}, {2, 1}});
-  auto nbrs = g.Neighbors(1);
-  ASSERT_EQ(nbrs.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
-  auto eids = g.IncidentEdges(1);
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    const Edge& e = g.EdgeAt(eids[i]);
-    EXPECT_EQ(MakeEdge(1, nbrs[i]), e);
+  // Unsorted, reversed (v, u), duplicate and self-loop input: every slice
+  // must come out ascending with IncidentEdges(u)[i] joining u to
+  // Neighbors(u)[i].
+  Graph g = Graph::FromEdges(
+      7, {{3, 1}, {1, 0}, {1, 4}, {2, 1}, {6, 1}, {4, 1}, {5, 5}, {2, 1},
+          {5, 0}, {3, 2}, {6, 3}, {0, 6}, {4, 4}, {2, 5}, {3, 1}});
+  EXPECT_EQ(g.NumEdges(), 10u);
+  auto nbrs1 = g.Neighbors(1);
+  EXPECT_EQ(std::vector<VertexId>(nbrs1.begin(), nbrs1.end()),
+            (std::vector<VertexId>{0, 2, 3, 4, 6}));
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    auto nbrs = g.Neighbors(u);
+    EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << "vertex " << u;
+    EXPECT_EQ(std::adjacent_find(nbrs.begin(), nbrs.end()), nbrs.end());
+    auto eids = g.IncidentEdges(u);
+    ASSERT_EQ(eids.size(), nbrs.size());
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      EXPECT_NE(nbrs[i], u);
+      EXPECT_EQ(MakeEdge(u, nbrs[i]), g.EdgeAt(eids[i]));
+    }
   }
 }
 

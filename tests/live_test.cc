@@ -14,17 +14,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dynamic_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/query_engine.h"
 #include "fault/failpoint.h"
 #include "gen/barabasi_albert.h"
+#include "gen/erdos_renyi.h"
 #include "graph/dynamic_graph.h"
 #include "live/live_index.h"
 #include "live/recovery.h"
@@ -902,6 +905,221 @@ TEST(LiveKillRecoverTest, SigkillMidStreamRecoversToExactParity) {
   EXPECT_EQ(live->Stats().applied_seq, state.applied_seq);
   auto engine = live->CurrentEngine();
   ExpectEngineParity(*engine, state.graph.Snapshot(), "post-SIGKILL engine");
+}
+
+// The live writer keeps the maintenance state without the H(c) treaps. After
+// the same seeded insert/delete schedule — single updates, batches and a
+// vertex removal, with deleted ids freed and reused — its frozen image must
+// equal Freeze of the paper's treap-backed DynamicEsdIndex bit for bit, for
+// every scorer (and both deletion strategies for ESD), and must score like
+// a from-scratch build of the final graph.
+TEST(LiveWriterTest, ImageEqualsFreezeOfDynamicIndex) {
+  using Update = core::MultisetMaintainer::EdgeUpdate;
+  const graph::Graph base = gen::BarabasiAlbert(60, 3, 21);
+  for (const core::ScorerKind kind :
+       {core::ScorerKind::kEsd, core::ScorerKind::kTruss,
+        core::ScorerKind::kEgoBetweenness}) {
+    const core::DiversityScorer& scorer = core::ScorerForKind(kind);
+    for (const core::DeletionStrategy strategy :
+         {core::DeletionStrategy::kTargeted,
+          core::DeletionStrategy::kRebuildLocal}) {
+      if (kind != core::ScorerKind::kEsd &&
+          strategy == core::DeletionStrategy::kRebuildLocal) {
+        continue;  // the strategy only selects between DSU repairs
+      }
+      const std::string context =
+          std::string(scorer.Name()) + " strategy " +
+          std::to_string(static_cast<int>(strategy));
+      core::MultisetMaintainer writer(base, scorer, strategy);
+      core::DynamicEsdIndex dyn(base, scorer, strategy);
+      ASSERT_EQ(core::Freeze(writer), core::Freeze(dyn.Index())) << context;
+
+      util::Rng rng(0x5EED + static_cast<uint64_t>(kind));
+      bool saw_freed_slot = false;
+      for (int round = 0; round < 12; ++round) {
+        std::vector<Update> batch;
+        for (int i = 0; i < 10; ++i) {
+          Update up;
+          up.kind = rng.NextBool(0.5) ? Update::Kind::kInsert
+                                      : Update::Kind::kDelete;
+          up.u = static_cast<graph::VertexId>(rng.NextBounded(60));
+          do {
+            up.v = static_cast<graph::VertexId>(rng.NextBounded(60));
+          } while (up.v == up.u);
+          if (up.kind == Update::Kind::kDelete) {
+            // Delete an existing edge most of the time, so slots get freed.
+            const graph::VertexId w = up.u;
+            auto nbrs = writer.CurrentGraph().Neighbors(w);
+            if (!nbrs.empty()) up.v = nbrs[rng.NextBounded(nbrs.size())];
+          }
+          batch.push_back(up);
+        }
+        if (round % 3 == 2) {
+          EXPECT_EQ(writer.ApplyBatch(batch), dyn.ApplyBatch(batch))
+              << context;
+        } else {
+          for (const Update& up : batch) {
+            const bool a = up.kind == Update::Kind::kInsert
+                               ? writer.InsertEdge(up.u, up.v)
+                               : writer.DeleteEdge(up.u, up.v);
+            const bool b = up.kind == Update::Kind::kInsert
+                               ? dyn.InsertEdge(up.u, up.v)
+                               : dyn.DeleteEdge(up.u, up.v);
+            EXPECT_EQ(a, b) << context;
+            EXPECT_EQ(writer.LastUpdateTouchedEdges(),
+                      dyn.LastUpdateTouchedEdges())
+                << context;
+          }
+        }
+        if (round == 7) {
+          EXPECT_EQ(writer.RemoveVertexEdges(5), dyn.RemoveVertexEdges(5));
+        }
+        saw_freed_slot |=
+            writer.EdgeSlotCount() > writer.NumRegisteredEdges();
+        ASSERT_EQ(core::Freeze(writer), core::Freeze(dyn.Index()))
+            << context << " round " << round;
+      }
+      EXPECT_TRUE(saw_freed_slot) << context;
+
+      const FrozenEsdIndex image = core::Freeze(writer);
+      const FrozenEsdIndex want =
+          core::BuildFrozenIndex(writer.CurrentGraph().Snapshot(), scorer);
+      EXPECT_EQ(image.NumRegisteredEdges(), want.NumRegisteredEdges());
+      for (uint32_t tau : {1u, 2u, 3u, 5u}) {
+        for (uint32_t k : {1u, 8u, 64u, 1000u}) {
+          EXPECT_EQ(core::Scores(image.Query(k, tau)),
+                    core::Scores(want.Query(k, tau)))
+              << context << " k=" << k << " tau=" << tau;
+        }
+      }
+    }
+  }
+}
+
+// The writer stores its multisets as runs in one pool; a run that outgrows
+// its room moves to the pool's end and the pool is compacted once holes
+// dominate. A long churn on a small dense graph crosses several
+// compactions, and the image must stay equal to the treap-backed index's.
+TEST(LiveWriterTest, PoolCompactionKeepsImageExact) {
+  const graph::Graph base = gen::ErdosRenyiGnm(30, 150, 3);
+  core::MultisetMaintainer writer(base, core::EsdScorer());
+  core::DynamicEsdIndex dyn(base);
+  util::Rng rng(0xC0117AC7);
+  for (int i = 0; i < 2000; ++i) {
+    const auto u = static_cast<graph::VertexId>(rng.NextBounded(30));
+    const auto v = static_cast<graph::VertexId>(rng.NextBounded(30));
+    if (u == v) continue;
+    if (writer.CurrentGraph().HasEdge(u, v)) {
+      ASSERT_TRUE(writer.DeleteEdge(u, v));
+      ASSERT_TRUE(dyn.DeleteEdge(u, v));
+    } else {
+      ASSERT_TRUE(writer.InsertEdge(u, v));
+      ASSERT_TRUE(dyn.InsertEdge(u, v));
+    }
+    if (i % 100 == 99) {
+      ASSERT_EQ(core::Freeze(writer), core::Freeze(dyn.Index())) << "i=" << i;
+    }
+  }
+  const FrozenEsdIndex want =
+      core::BuildFrozenIndex(writer.CurrentGraph().Snapshot());
+  const FrozenEsdIndex image = core::Freeze(writer);
+  for (uint32_t tau : {1u, 2u, 3u}) {
+    EXPECT_EQ(core::Scores(image.Query(1000, tau)),
+              core::Scores(want.Query(1000, tau)))
+        << "tau=" << tau;
+  }
+}
+
+// A refreeze copies the writer under its lock and builds the slabs after
+// releasing it, so refreezes overlap writes and one another. One thread
+// applies a seeded stream while another loops RefreezeNow (and background
+// refreezes fire every 16 updates): every epoch a reader observes must move
+// (epoch, applied_seq) forward together, and the final epoch must answer
+// like a from-scratch build of the replayed graph, compared by score
+// sequence with every reported edge present at its reported score.
+TEST(LiveWriterTest, ConcurrentRefreezesPublishMonotoneEpochs) {
+  ScratchDir dir("live_concurrent_refreeze");
+  graph::Graph bootstrap = gen::BarabasiAlbert(100, 3, 17);
+  LiveOptions options;
+  options.wal_path = dir.Path("wal.bin");
+  options.refreeze_every = 16;
+  options.fsync_on_batch = false;
+  options.max_vertex_id = 119;
+  std::string error;
+  auto live = LiveEsdIndex::Open(bootstrap, options, &error);
+  ASSERT_NE(live, nullptr) << error;
+
+  const std::vector<LiveUpdate> updates = RandomUpdates(480, 120, 0xC0DE);
+  graph::DynamicGraph shadow(bootstrap);
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    std::string werror;
+    for (size_t i = 0; i < updates.size(); i += 4) {
+      const size_t n = std::min<size_t>(4, updates.size() - i);
+      EXPECT_EQ(live->ApplyBatch({updates.data() + i, n}, &werror), n)
+          << werror;
+    }
+    writer_done.store(true);
+  });
+
+  std::mutex seen_mu;
+  std::vector<std::pair<uint64_t, uint64_t>> seen;  // (epoch, seq) in order
+  auto observe = [&] {
+    auto snap = live->CurrentSnapshot();
+    std::lock_guard<std::mutex> lock(seen_mu);
+    seen.emplace_back(snap->epoch, snap->applied_seq);
+  };
+  std::thread refreezer([&] {
+    while (!writer_done.load()) {
+      EXPECT_TRUE(live->RefreezeNow());
+      observe();
+    }
+  });
+  // A second reader polls the published epoch concurrently; its own
+  // sequence of observations must be monotone too.
+  std::vector<std::pair<uint64_t, uint64_t>> polled;
+  std::thread poller([&] {
+    while (!writer_done.load()) {
+      auto snap = live->CurrentSnapshot();
+      polled.emplace_back(snap->epoch, snap->applied_seq);
+    }
+  });
+  writer.join();
+  refreezer.join();
+  poller.join();
+  for (const LiveUpdate& u : updates) ApplyToShadow(&shadow, u);
+
+  for (const auto* trail : {&seen, &polled}) {
+    for (size_t i = 1; i < trail->size(); ++i) {
+      const auto& [e0, s0] = (*trail)[i - 1];
+      const auto& [e1, s1] = (*trail)[i];
+      EXPECT_LE(e0, e1) << "epoch went backwards at " << i;
+      EXPECT_LE(s0, s1) << "applied_seq went backwards at " << i;
+      if (e0 == e1) {
+        EXPECT_EQ(s0, s1) << "one epoch, two watermarks";
+      }
+    }
+  }
+  EXPECT_GE(live->Stats().refreezes, 2u);
+
+  ASSERT_TRUE(live->RefreezeNow());
+  auto snap = live->CurrentSnapshot();
+  EXPECT_EQ(snap->applied_seq, updates.size());
+  const graph::Graph replayed = shadow.Snapshot();
+  EXPECT_EQ(snap->index.NumRegisteredEdges(), replayed.NumEdges());
+  const FrozenEsdIndex want = core::BuildFrozenIndex(replayed);
+  for (uint32_t tau : {1u, 2u, 3u, 5u}) {
+    for (uint32_t k : {1u, 8u, 32u, 500u}) {
+      const TopKResult got = snap->index.Query(k, tau);
+      EXPECT_EQ(core::Scores(got), core::Scores(want.Query(k, tau)))
+          << "k=" << k << " tau=" << tau;
+      for (const core::ScoredEdge& se : got) {
+        const graph::EdgeId e = replayed.FindEdge(se.edge.u, se.edge.v);
+        ASSERT_NE(e, graph::kNoEdge);
+        EXPECT_EQ(want.ScoreOf(e, tau), se.score);
+      }
+    }
+  }
 }
 
 }  // namespace
