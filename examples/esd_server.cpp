@@ -6,9 +6,7 @@
 // misses.
 //
 // After the burst the server reads commands from stdin until EOF/QUIT:
-//   QUERY <k> <tau> [STRICT]  run one query through the service, print the
-//                     edges (STRICT: fail typed instead of answering
-//                     partially when any shard is degraded or down)
+//   QUERY <k> <tau>   run one query through the service, print the edges
 //   INSERT <u> <v>    (live mode) durably insert an edge
 //   DELETE <u> <v>    (live mode) durably delete an edge
 //   CHECKPOINT        (live mode) persist a snapshot + compact the WAL
@@ -29,9 +27,7 @@
 //                     in $ESD_FAILPOINTS, e.g. "error(ENOSPC)" or "off");
 //                     FAILPOINT LIST enumerates every compiled-in site with
 //                     live hit/fire counts; FAILPOINT clearall disarms all
-//   REFREEZE          synchronously publish fresh epochs (live or sharded);
-//                     with shards this quiesces the fleet to one watermark
-//   SHARDS            (--shards) per-shard state/health/watermark detail
+//   REFREEZE          (live mode) synchronously publish a fresh epoch
 //   TRACE <path>      write collected spans as Chrome trace JSON
 //   QUIT              shut down
 // (With stdin at EOF — e.g. the smoke test — the loop exits immediately,
@@ -100,7 +96,6 @@
 #include "obs/trace.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -116,7 +111,6 @@ void Usage() {
                "                  [--max-queue Q] [--deadline-us D]\n"
                "                  [--load-index P] [--cache-bytes B]\n"
                "                  [--live-dir DIR] [--refreeze-every N]\n"
-               "                  [--shards N]\n"
                "                  [--slowlog N] [--history-interval-ms M]\n"
                "                  [--history-samples S]\n"
                "                  [--listen PORT] [--bind ADDR]\n"
@@ -172,8 +166,6 @@ const char* StatusName(esd::serve::ResponseStatus s) {
       return "deadline-missed";
     case esd::serve::ResponseStatus::kShutdown:
       return "shutdown";
-    case esd::serve::ResponseStatus::kShardsUnavailable:
-      return "shards-unavailable";
   }
   return "?";
 }
@@ -192,7 +184,6 @@ int main(int argc, char** argv) {
   size_t max_queue = 1024;
   uint64_t deadline_us = 0;
   uint64_t refreeze_every = 256;
-  uint32_t shards = 1;  // >= 2 = sharded serving (src/shard/)
   size_t cache_bytes = 0;  // 0 = result cache off
   size_t slowlog_capacity = 32;
   uint64_t history_interval_ms = 1000;  // 0 = no background sampler
@@ -237,8 +228,6 @@ int main(int argc, char** argv) {
       live_dir = next();
     } else if (arg == "--refreeze-every") {
       refreeze_every = static_cast<uint64_t>(std::atoll(next()));
-    } else if (arg == "--shards") {
-      shards = static_cast<uint32_t>(std::atoi(next()));
     } else if (arg == "--cache-bytes") {
       cache_bytes = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--slowlog") {
@@ -310,45 +299,7 @@ int main(int argc, char** argv) {
   util::Timer timer;
   std::unique_ptr<core::EsdQueryEngine> engine;
   std::unique_ptr<live::LiveEsdIndex> live;
-  std::unique_ptr<shard::ShardedQueryEngine> sharded;
-  if (shards >= 2) {
-    if (!load_index.empty()) {
-      std::fprintf(stderr,
-                   "error: --shards and --load-index are incompatible "
-                   "(shards build their masked images from the graph)\n");
-      return 2;
-    }
-    shard::ShardedOptions sopts;
-    sopts.num_shards = shards;
-    sopts.scorer = scorer->Kind();
-    sopts.refreeze_every = refreeze_every;
-    sopts.registry = &obs::MetricRegistry::Global();
-    if (!live_dir.empty()) {
-      sopts.dir = live_dir;
-      std::string error;
-      sharded = shard::ShardedQueryEngine::Open(g, sopts, &error);
-      if (sharded == nullptr) {
-        std::fprintf(stderr, "error: %s\n", error.c_str());
-        return 1;
-      }
-      engine_name = "sharded-live";
-    } else {
-      sharded = shard::ShardedQueryEngine::BuildStatic(g, sopts);
-      engine_name = "sharded-frozen";
-    }
-    const serve::ShardCounts counts = sharded->Counts();
-    std::printf("sharded engine up: %.1f ms (%u shards: %u ok, %u degraded, "
-                "%u down)\n",
-                timer.ElapsedMillis(), sharded->num_shards(), counts.ok,
-                counts.degraded, counts.down);
-    for (const shard::ShardStatus& st : sharded->Status()) {
-      if (st.state != "ok") {
-        std::printf("  shard %u: %s%s%s\n", st.id, st.state.c_str(),
-                    st.down_reason.empty() ? "" : " - ",
-                    st.down_reason.c_str());
-      }
-    }
-  } else if (!live_dir.empty()) {
+  if (!live_dir.empty()) {
     std::filesystem::create_directories(live_dir);
     live::LiveOptions live_options;
     live_options.wal_path =
@@ -415,22 +366,9 @@ int main(int argc, char** argv) {
   // swap engines under a running service without a restart, and the result
   // cache keys its generations on the pinned epoch.
   std::unique_ptr<serve::EsdQueryService> service_ptr;
-  if (sharded != nullptr) {
-    // Sharded mode: the service scatters each batch through the backend;
-    // the backend's monotone generation plays the epoch's role for the
-    // cache, and its fleet health is folded into service.Health().
-    service_ptr = std::make_unique<serve::EsdQueryService>(*sharded, opts);
-  } else if (live != nullptr) {
-    live::LiveEsdIndex* live_raw = live.get();
-    serve::EsdQueryService::EpochEngineProvider provider =
-        [live_raw]() -> serve::EsdQueryService::PinnedEngine {
-      std::shared_ptr<const live::EpochSnapshot> snap =
-          live_raw->CurrentSnapshot();
-      return {std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index),
-              snap->epoch};
-    };
+  if (live != nullptr) {
     service_ptr =
-        std::make_unique<serve::EsdQueryService>(std::move(provider), opts);
+        std::make_unique<serve::EsdQueryService>(live->EngineProvider(), opts);
     // Rotate the cache generation the moment an epoch publishes rather
     // than lazily on the first post-swap lookup (cleared again before the
     // service dies — the refreeze pool outlives it).
@@ -456,11 +394,9 @@ int main(int argc, char** argv) {
       history_interval_ms == 0 ? 1000 : history_interval_ms);
   {
     live::LiveEsdIndex* live_raw = live.get();
-    shard::ShardedQueryEngine* sharded_raw = sharded.get();
     serve::EsdQueryService* svc = service_ptr.get();
-    hopts.pre_sample = [live_raw, sharded_raw, svc] {
+    hopts.pre_sample = [live_raw, svc] {
       if (live_raw != nullptr) live_raw->ExportMetrics();
-      if (sharded_raw != nullptr) sharded_raw->ExportMetrics();
       obs::ExportHealth(obs::MetricRegistry::Global(), svc->Health());
     };
   }
@@ -526,9 +462,8 @@ int main(int argc, char** argv) {
               engine_name.c_str(), std::string(scorer->Name()).c_str(),
               (dataset.empty() ? file : dataset).c_str(), wall_s * 1e3,
               static_cast<unsigned long long>(
-                  sharded != nullptr ? sharded->MemoryBytes()
-                  : live != nullptr ? live->CurrentEngine()->MemoryBytes()
-                                    : engine->MemoryBytes()),
+                  live != nullptr ? live->CurrentEngine()->MemoryBytes()
+                                  : engine->MemoryBytes()),
               serve::MetricsJsonFields(snap).c_str());
 
   // ---- Command executor -------------------------------------------------
@@ -544,9 +479,7 @@ int main(int argc, char** argv) {
   auto metrics_text = [&]() -> std::string {
     std::lock_guard<std::mutex> lock(command_mu);
     obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-    if (sharded != nullptr) {
-      sharded->ExportMetrics();  // per-shard live metrics + fleet gauges
-    } else if (live != nullptr) {
+    if (live != nullptr) {
       live->ExportMetrics();
       core::ExportEngineCounters(*live->CurrentEngine(), &registry);
     } else {
@@ -572,10 +505,6 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(resp.ctx.request_id),
             static_cast<unsigned long long>(resp.ctx.epoch),
             obs::CacheOutcomeName(resp.ctx.cache));
-    if (resp.shards_ok + resp.shards_degraded + resp.shards_down > 0) {
-      AppendF(&out, " shards=%u/%u/%u", resp.shards_ok, resp.shards_degraded,
-              resp.shards_down);
-    }
     AppendF(&out, " stages[us]:");
     for (size_t s = 0; s < obs::kNumStages; ++s) {
       AppendF(&out, " %s=%.1f", obs::StageName(static_cast<obs::Stage>(s)),
@@ -601,17 +530,10 @@ int main(int argc, char** argv) {
       // Stdin path only: the socket front end intercepts QUERY lines and
       // submits them through the async admission path instead.
       serve::QueryRequest rq;
-      if (!(in >> rq.k >> rq.tau)) {
-        AppendF(out, "ERR usage: QUERY <k> <tau> [STRICT]\n");
+      std::string extra;
+      if (!(in >> rq.k >> rq.tau) || in >> extra) {
+        AppendF(out, "ERR usage: QUERY <k> <tau>\n");
         return true;
-      }
-      std::string strict_token;
-      if (in >> strict_token) {
-        if (strict_token != "STRICT") {
-          AppendF(out, "ERR usage: QUERY <k> <tau> [STRICT]\n");
-          return true;
-        }
-        rq.strict = true;
       }
       rq.deadline_us = deadline_us;
       const serve::QueryResponse resp = service.Query(rq);
@@ -620,7 +542,7 @@ int main(int argc, char** argv) {
     }
     std::lock_guard<std::mutex> lock(command_mu);
     if (cmd == "INSERT" || cmd == "DELETE") {
-      if (live == nullptr && (sharded == nullptr || !sharded->live_mode())) {
+      if (live == nullptr) {
         AppendF(out, "ERR updates need --live-dir\n");
         return true;
       }
@@ -629,23 +551,6 @@ int main(int argc, char** argv) {
                                     : live::UpdateKind::kDelete;
       if (!(in >> update.u >> update.v)) {
         AppendF(out, "ERR usage: %s <u> <v>\n", cmd.c_str());
-        return true;
-      }
-      if (sharded != nullptr) {
-        // Broadcast write: one typed outcome for the whole fleet, plus
-        // the post-apply watermark/health tallies.
-        const live::ApplyResult result =
-            sharded->ApplyBatchTyped({&update, 1});
-        const serve::ShardCounts counts = sharded->Counts();
-        if (result.status == live::ApplyStatus::kOk) {
-          AppendF(out, "OK shards_ok=%u shards_degraded=%u shards_down=%u%s%s\n",
-                  counts.ok, counts.degraded, counts.down,
-                  result.message.empty() ? "" : " - ",
-                  result.message.c_str());
-        } else {
-          AppendF(out, "ERR %s %s\n", live::ApplyStatusName(result.status),
-                  result.message.c_str());
-        }
         return true;
       }
       const live::ApplyResult result = live->ApplyTyped(update);
@@ -662,15 +567,6 @@ int main(int argc, char** argv) {
                 result.message.c_str());
       }
     } else if (cmd == "CHECKPOINT") {
-      if (sharded != nullptr && sharded->live_mode()) {
-        std::string error;
-        if (sharded->Checkpoint(&error)) {
-          AppendF(out, "OK all shards checkpointed\n");
-        } else {
-          AppendF(out, "ERR %s\n", error.c_str());
-        }
-        return true;
-      }
       if (live == nullptr) {
         AppendF(out, "ERR checkpoint needs --live-dir\n");
         return true;
@@ -686,44 +582,11 @@ int main(int argc, char** argv) {
         AppendF(out, "ERR %s\n", error.c_str());
       }
     } else if (cmd == "REFREEZE") {
-      // Synchronous epoch publish: with shards, the quiesce step chaos
-      // tests use before comparing against an unsharded reference.
-      if (sharded != nullptr) {
-        sharded->CatchUp();  // drive heal probes + journal replay first
-        AppendF(out, sharded->RefreezeAll() ? "OK refrozen\n"
-                                            : "ERR refreeze failed on >= 1 "
-                                              "shard\n");
-      } else if (live != nullptr) {
+      if (live != nullptr) {
         AppendF(out, live->RefreezeNow() ? "OK refrozen\n"
                                          : "ERR refreeze failed\n");
       } else {
-        AppendF(out, "ERR refreeze needs --live-dir or --shards\n");
-      }
-    } else if (cmd == "SHARDS") {
-      if (sharded == nullptr) {
-        AppendF(out, "ERR not running sharded (--shards N)\n");
-        return true;
-      }
-      const serve::ShardCounts counts = sharded->Counts();
-      AppendF(out, "OK shards=%u ok=%u degraded=%u down=%u generation=%llu\n",
-              sharded->num_shards(), counts.ok, counts.degraded, counts.down,
-              static_cast<unsigned long long>(sharded->Generation()));
-      for (const shard::ShardStatus& st : sharded->Status()) {
-        AppendF(out,
-                "shard %u state=%s health=%s epoch=%llu wal_seq=%llu "
-                "journal_applied=%llu journal_lag=%llu queries=%llu "
-                "drained=%llu stall_trips=%llu replayed=%llu%s%s\n",
-                st.id, st.state.c_str(), obs::HealthStateName(st.health),
-                static_cast<unsigned long long>(st.epoch),
-                static_cast<unsigned long long>(st.wal_applied_seq),
-                static_cast<unsigned long long>(st.journal_applied),
-                static_cast<unsigned long long>(st.journal_lag),
-                static_cast<unsigned long long>(st.queries),
-                static_cast<unsigned long long>(st.drained),
-                static_cast<unsigned long long>(st.stall_trips),
-                static_cast<unsigned long long>(st.replayed),
-                st.down_reason.empty() ? "" : " reason=",
-                st.down_reason.c_str());
+        AppendF(out, "ERR refreeze needs --live-dir\n");
       }
     } else if (cmd == "STATS") {
       const serve::MetricsSnapshot s = service.metrics().Snap();
@@ -738,15 +601,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.batches),
               static_cast<unsigned long long>(s.queue_depth),
               s.total.p50_us, s.total.p95_us, s.total.p99_us);
-      if (sharded != nullptr) {
-        const serve::ShardCounts counts = sharded->Counts();
-        AppendF(out,
-                " shards=%u shards_ok=%u shards_degraded=%u shards_down=%u "
-                "shard_generation=%llu",
-                sharded->num_shards(), counts.ok, counts.degraded,
-                counts.down,
-                static_cast<unsigned long long>(sharded->Generation()));
-      }
       if (live != nullptr) {
         const live::LiveStats ls = live->Stats();
         AppendF(out,
@@ -794,9 +648,7 @@ int main(int argc, char** argv) {
       AppendF(out, "\n");
     } else if (cmd == "METRICS") {
       obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-      if (sharded != nullptr) {
-        sharded->ExportMetrics();
-      } else if (live != nullptr) {
+      if (live != nullptr) {
         live->ExportMetrics();
         core::ExportEngineCounters(*live->CurrentEngine(), &registry);
       } else {
@@ -855,8 +707,8 @@ int main(int argc, char** argv) {
       }
       if (name == "LIST" || name == "list") {
         // Operator discovery: every compiled-in site with its live
-        // hit/fire counters, then any armed per-instance names (the
-        // ".shard<i>"-suffixed points) the curated table lists only once.
+        // hit/fire counters, then any armed names outside the curated
+        // table.
         fault::FailPointRegistry& fpr = fault::FailPointRegistry::Global();
         const std::vector<fault::FailPointSite> sites =
             fault::BuiltinFailPointSites();
@@ -878,8 +730,8 @@ int main(int argc, char** argv) {
                   static_cast<int>(site.description.size()),
                   site.description.data());
         }
-        // Armed names outside the curated table: suffixed instances and
-        // test-only points. These carry real hit counts too.
+        // Armed names outside the curated table (test-only points). These
+        // carry real hit counts too.
         for (const std::string& armed_name : active) {
           const bool curated =
               std::any_of(sites.begin(), sites.end(),
@@ -926,7 +778,7 @@ int main(int argc, char** argv) {
       }
     } else {
       AppendF(out, "ERR unknown command (QUERY/INSERT/DELETE/CHECKPOINT/"
-                   "REFREEZE/SHARDS/STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/"
+                   "REFREEZE/STATS/METRICS/SLOWLOG/HISTORY/FAILPOINT/"
                    "TRACE/QUIT)\n");
     }
     return true;

@@ -82,87 +82,4 @@ printf 'STATS\nQUIT\n' | "$SERVER" --dataset youtube-s --scale 0.1 \
   || fail "recovery lost the accepted writes (server exited non-zero)"
 grep -q 'live_seq=2 ' "$LOG" || fail "recovery lost the accepted writes"
 
-# ---------------------------------------------------------------------------
-# Shard-outage drill: kill one shard's WAL in a 3-shard fleet, check that
-#   * the broadcast write still lands (fleet OK, laggard queued for replay),
-#   * partial queries answer with the degraded shard excluded (shards=2/1/0),
-#   * strict queries bounce typed (shards-unavailable),
-#   * after clearall + REFREEZE the laggard replays and the fleet is whole,
-#   * a restarted sharded fleet answers byte-identically to an unsharded
-#     server that applied the same update history (exact-parity phase).
-FLEET="$DIR/fleet"
-rm -rf "$FLEET"
-mkdir -p "$FLEET"
-LOG="$DIR/chaos3.log"
-
-feed_shards() {
-  printf 'INSERT 1 2\n'
-  printf 'FAILPOINT wal.append.shard0 error(ENOSPC)\n'
-  printf 'INSERT 2 3\n'
-  printf 'QUERY 5 2\n'
-  printf 'QUERY 5 2 STRICT\n'
-  printf 'SHARDS\n'
-  printf 'FAILPOINT clearall\n'
-  # The server may lag stdin (the pipe buffers the whole script while it
-  # is still starting up), so one sleep before one REFREEZE can execute
-  # before the laggard's heal-probe interval has elapsed. Spreading
-  # repeated REFREEZE attempts over several seconds of feed time makes
-  # the late ones land after the probe is due no matter how slow startup
-  # was; once healed, the extras are no-ops.
-  i=0
-  while [ "$i" -lt 16 ]; do
-    sleep 0.5
-    printf 'REFREEZE\n'
-    i=$((i + 1))
-  done
-  printf 'SHARDS\n'
-  printf 'QUERY 5 2\n'
-  printf 'QUIT\n'
-}
-
-feed_shards | "$SERVER" --dataset youtube-s --scale 0.1 --requests 50 \
-  --clients 1 --threads 2 --shards 3 --live-dir "$FLEET" > "$LOG" 2>&1 \
-  || fail "sharded server exited non-zero"
-
-grep -q 'OK shards_ok=3 shards_degraded=0 shards_down=0' "$LOG" \
-  || fail "pre-fault broadcast insert did not land on all shards"
-grep -q 'OK shards_ok=2 shards_degraded=1 shards_down=0' "$LOG" \
-  || fail "faulted insert did not report the laggard shard"
-grep -q 'replay queued' "$LOG" || fail "laggard was not queued for replay"
-grep -q 'shards=2/1/0' "$LOG" || fail "partial query did not exclude shard 0"
-grep -q 'OK shards-unavailable 0 edges' "$LOG" \
-  || fail "strict query was not rejected typed"
-grep -q 'shard 0 state=degraded health=read-only' "$LOG" \
-  || fail "SHARDS did not show shard 0 read-only"
-grep -q 'OK shards=3 ok=3 degraded=0 down=0' "$LOG" \
-  || fail "fleet did not heal to 3/0/0"
-grep 'shard 0 state=ok' "$LOG" | grep -q 'replayed=[1-9]' \
-  || fail "healed shard 0 shows no replayed updates"
-grep -q 'shards=3/0/0' "$LOG" || fail "post-heal query not whole-fleet"
-
-# Exact-parity phase: the restarted fleet vs an unsharded server that
-# applied the same history must print identical top-k edge lines.
-LOG="$DIR/chaos4.log"
-printf 'QUERY 5 2\nQUIT\n' | "$SERVER" --dataset youtube-s --scale 0.1 \
-  --requests 50 --clients 1 --threads 2 --shards 3 --live-dir "$FLEET" \
-  > "$LOG" 2>&1 || fail "restarted sharded server exited non-zero"
-grep '^  [0-9][0-9]* (' "$LOG" > "$DIR/parity_sharded.txt"
-test -s "$DIR/parity_sharded.txt" || fail "restarted fleet returned no edges"
-
-REFLOG="$DIR/chaos5.log"
-REFDIR="$DIR/unsharded_ref"
-rm -rf "$REFDIR"
-printf 'INSERT 1 2\nINSERT 2 3\nREFREEZE\nQUERY 5 2\nQUIT\n' | \
-  "$SERVER" --dataset youtube-s --scale 0.1 --requests 50 --clients 1 \
-  --threads 2 --live-dir "$REFDIR" > "$REFLOG" 2>&1 \
-  || fail "unsharded reference server exited non-zero"
-grep '^  [0-9][0-9]* (' "$REFLOG" > "$DIR/parity_unsharded.txt"
-
-diff "$DIR/parity_sharded.txt" "$DIR/parity_unsharded.txt" > /dev/null || {
-  echo "FAIL: healed fleet diverged from the unsharded reference" >&2
-  diff "$DIR/parity_sharded.txt" "$DIR/parity_unsharded.txt" >&2 || true
-  exit 1
-}
-
-echo "PASS: chaos smoke (outage typed, reads survived, heal + recovery clean," \
-     "shard drill partial/strict/heal/parity clean)"
+echo "PASS: chaos smoke (outage typed, reads survived, heal + recovery clean)"

@@ -437,21 +437,4 @@ EsdIndex Thaw(const FrozenEsdIndex& frozen) {
   return out;
 }
 
-FrozenEsdIndex FilterFrozenIndex(
-    const FrozenEsdIndex& index,
-    const std::function<bool(Edge)>& keep) {
-  const size_t slots = index.EdgeSlotCount();
-  std::vector<Edge> edges(index.Edges().begin(), index.Edges().end());
-  std::vector<std::vector<uint32_t>> sizes(slots);
-  std::vector<uint8_t> live(slots, 0);
-  for (EdgeId e = 0; e < slots; ++e) {
-    if (!index.IsLive(e) || !keep(edges[e])) continue;
-    live[e] = 1;
-    std::span<const uint32_t> s = index.EdgeSizes(e);
-    sizes[e].assign(s.begin(), s.end());
-  }
-  return FrozenEsdIndex::FromEdgeSizes(std::move(edges), std::move(sizes),
-                                       std::move(live), index.Scorer());
-}
-
 }  // namespace esd::core

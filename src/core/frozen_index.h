@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -211,18 +210,6 @@ FrozenEsdIndex Freeze(const EsdIndex& index);
 /// Reconstructs a mutable EsdIndex from a frozen image (the H(c) treaps are
 /// rebuilt from the stored multisets, exactly as the v1 loader does).
 EsdIndex Thaw(const FrozenEsdIndex& frozen);
-
-/// Restricts a frozen image to the edges `keep` selects: the edge-id slot
-/// layout is preserved exactly (so ids, padding order, and dedup semantics
-/// line up across differently-filtered images of the same index), but
-/// non-kept slots are marked dead with empty multisets and their slab
-/// entries dropped. This is the sharding primitive: a shard serves
-/// FilterFrozenIndex(full, owns) and the scores it reports for kept edges
-/// are identical to the full image's — per-edge scores depend only on that
-/// edge's own multiset, so masking other edges never perturbs them.
-FrozenEsdIndex FilterFrozenIndex(
-    const FrozenEsdIndex& index,
-    const std::function<bool(graph::Edge)>& keep);
 
 }  // namespace esd::core
 

@@ -178,6 +178,15 @@ class EsdQueryEngine {
   EsdQueryEngine& operator=(EsdQueryEngine&&) = default;
 };
 
+/// An engine pinned together with the epoch id it serves. Two pins with
+/// the same epoch MUST hold the same (immutable) engine image, so the epoch
+/// can key cached answers; LiveEsdIndex's seq-guarded publish provides
+/// exactly this (epoch ids are monotone in applied_seq).
+struct PinnedEngine {
+  std::shared_ptr<const EsdQueryEngine> engine;
+  uint64_t epoch = 0;
+};
+
 /// Index-free engine: answers every call by running the online algorithms
 /// against a borrowed graph (which must outlive the adapter). Query is the
 /// dequeue-twice OnlineTopK; the threshold calls score every edge — they

@@ -55,16 +55,6 @@ struct LiveOptions {
   /// opens, and how long it stays open before letting a retry through.
   int refreeze_breaker_threshold = 3;
   std::chrono::milliseconds refreeze_breaker_cooldown{100};
-  /// Restricts the edges published read epochs serve (see
-  /// EpochSnapshotManager::ServeFilter). The WAL, writer index, recovery,
-  /// and checkpoints all stay whole-graph; only the frozen images readers
-  /// pin are masked. Empty (default) serves everything.
-  EpochSnapshotManager::ServeFilter serve_filter;
-  /// Suffix appended to this instance's fail-point site names
-  /// ("wal.append" -> "wal.append.shard2", "live.refreeze" likewise) so a
-  /// chaos schedule can fail one shard's durability path in isolation.
-  /// Empty (default) keeps the process-classic names.
-  std::string fault_site_suffix;
 };
 
 /// One update submitted to the live index.
@@ -210,10 +200,16 @@ class LiveEsdIndex {
     return std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index);
   }
 
-  /// Provider functor for EsdQueryService's engine-swap serving mode.
-  std::function<std::shared_ptr<const core::EsdQueryEngine>()>
-  EngineProvider() const {
-    return [this] { return CurrentEngine(); };
+  /// Provider functor for EsdQueryService's engine-swap serving mode: the
+  /// current epoch's engine pinned with its epoch id, which keys the
+  /// service's result cache.
+  std::function<core::PinnedEngine()> EngineProvider() const {
+    return [this] {
+      auto snap = manager_->Current();
+      return core::PinnedEngine{
+          std::shared_ptr<const core::EsdQueryEngine>(snap, &snap->index),
+          snap->epoch};
+    };
   }
 
   /// Installs a callback fired after every successful epoch publish (new
@@ -257,8 +253,7 @@ class LiveEsdIndex {
   uint64_t checkpoints_ = 0;
 
   // Degraded-mode state (guarded by live_mu_; read_only_ is atomic so
-  // Health() — a classification probe on sharded query paths — never
-  // blocks behind a write or heal probe holding live_mu_).
+  // Health() never blocks behind a write or heal probe holding live_mu_).
   std::atomic<bool> read_only_{false};
   std::chrono::steady_clock::time_point next_probe_{};
   uint64_t wal_retries_ = 0;

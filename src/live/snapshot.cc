@@ -214,12 +214,8 @@ EpochSnapshotManager::EpochSnapshotManager(const graph::Graph& base,
                                            uint64_t base_seq,
                                            unsigned pool_threads,
                                            const core::DiversityScorer& scorer,
-                                           obs::MetricRegistry* registry,
-                                           ServeFilter serve_filter,
-                                           const std::string& fault_site_suffix)
-    : serve_filter_(std::move(serve_filter)),
-      refreeze_site_("live.refreeze" + fault_site_suffix),
-      freeze_locked_us_(RegistryOrGlobal(registry).GetHistogram(
+                                           obs::MetricRegistry* registry)
+    : freeze_locked_us_(RegistryOrGlobal(registry).GetHistogram(
           "esd_live_freeze_locked_us",
           "refreeze time under the writer lock: copying edges, live mask "
           "and multiset pool")),
@@ -288,7 +284,7 @@ bool EpochSnapshotManager::RefreezeNow() {
   // failed rebuild (previous epoch stays published, breaker counts it),
   // while a delay action parks this thread in exactly the window whose
   // interleaving Publish's seq guard must survive.
-  if (ESD_FAILPOINT(refreeze_site_)) {
+  if (ESD_FAILPOINT("live.refreeze")) {
     std::lock_guard<std::mutex> lock(mu_);
     refreeze_failures_.fetch_add(1, std::memory_order_relaxed);
     if (++consecutive_failures_ >= breaker_threshold_ &&
@@ -353,10 +349,7 @@ void EpochSnapshotManager::SetEpochListener(EpochListener listener) {
 void EpochSnapshotManager::Publish(core::FrozenEsdIndex frozen,
                                    uint64_t seq) {
   auto snap = std::make_shared<EpochSnapshot>();
-  // Ownership mask: readers of this manager only ever see the filtered
-  // image; the full one is a freeze-time intermediate.
-  snap->index = serve_filter_ ? core::FilterFrozenIndex(frozen, serve_filter_)
-                              : std::move(frozen);
+  snap->index = std::move(frozen);
   snap->applied_seq = seq;
   snap->published_at = std::chrono::steady_clock::now();
   {

@@ -94,28 +94,16 @@ SnapshotDirFsyncHandler SetSnapshotDirFsyncHandler(
 ///     queued on the pool at a time.
 class EpochSnapshotManager {
  public:
-  /// Restricts which edges each PUBLISHED epoch serves; the writer state
-  /// itself always maintains the full graph (so recovery, checkpoints, and
-  /// per-edge maintenance stay whole-graph exact — scores depend on global
-  /// 2-hop structure). A shard passes its ownership predicate here: every
-  /// refreeze is masked through core::FilterFrozenIndex before readers see
-  /// it, partitioning serving memory while write work stays replicated.
-  using ServeFilter = std::function<bool(graph::Edge)>;
-
   /// Bootstraps the writer state from `base` (a from-scratch build under
   /// `scorer` — the ESD 4-clique build for the default EsdScorer()) and
   /// publishes epoch 0 covering `base_seq`. `scorer` must outlive the
   /// manager; the built-in scorers are process-lifetime singletons.
   /// Refreeze timings go to `registry` (null = MetricRegistry::Global()).
-  /// `fault_site_suffix` renames the "live.refreeze" fail point for this
-  /// instance (per-shard chaos targeting); empty keeps the classic name.
   EpochSnapshotManager(const graph::Graph& base, uint64_t base_seq,
                        unsigned pool_threads,
                        const core::DiversityScorer& scorer =
                            core::EsdScorer(),
-                       obs::MetricRegistry* registry = nullptr,
-                       ServeFilter serve_filter = {},
-                       const std::string& fault_site_suffix = "");
+                       obs::MetricRegistry* registry = nullptr);
 
   /// Joins in-flight background refreezes (the pool drains before exit).
   ~EpochSnapshotManager() = default;
@@ -198,10 +186,6 @@ class EpochSnapshotManager {
 
  private:
   void Publish(core::FrozenEsdIndex frozen, uint64_t seq);
-
-  /// Immutable after construction; applied to every freeze before publish.
-  const ServeFilter serve_filter_;
-  const std::string refreeze_site_;
 
   /// Refreeze phase timings (registry-owned, resolved once).
   obs::Histogram& freeze_locked_us_;

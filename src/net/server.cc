@@ -495,13 +495,10 @@ void NetServer::ProcessBinary(const std::shared_ptr<Conn>& conn) {
         rq.tau = q.tau;
         rq.pad_with_zero_edges = q.pad_with_zero_edges != 0;
         rq.deadline_us = q.deadline_us;
-        rq.strict = q.strict != 0;
         rq.arrival_ns = obs::MonotonicNanos();
         const uint64_t seq = ReserveSlot(conn);
         m_queries_.Inc();
-        // Answer in the version the request arrived with: a v1 client
-        // gets the 29-byte result prefix it knows how to parse.
-        SubmitQuery(conn, rq, seq, q.cid, /*binary=*/true, frame.version);
+        SubmitQuery(conn, rq, seq, q.cid, /*binary=*/true);
         break;
       }
       default: {
@@ -568,15 +565,13 @@ void NetServer::HandleTextLine(const std::shared_ptr<Conn>& conn,
     char extra[16] = {0};
     const int fields = std::sscanf(line.c_str() + first, "QUERY %u %u %15s",
                                    &k, &tau, extra);
-    const bool strict = fields == 3 && std::string_view(extra) == "STRICT";
-    if (fields < 2 || (fields == 3 && !strict)) {
+    if (fields != 2) {
       const uint64_t seq = ReserveSlot(conn);
-      FillSlotLocal(conn, seq, "ERR usage: QUERY <k> <tau> [STRICT]\n");
+      FillSlotLocal(conn, seq, "ERR usage: QUERY <k> <tau>\n");
       return;
     }
     rq.k = k;
     rq.tau = tau;
-    rq.strict = strict;
     rq.arrival_ns = obs::MonotonicNanos();
     const uint64_t seq = ReserveSlot(conn);
     m_queries_.Inc();
@@ -628,8 +623,7 @@ void NetServer::ProcessHttp(const std::shared_ptr<Conn>& conn) {
 
 void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
                             const serve::QueryRequest& request,
-                            uint64_t slot_seq, uint64_t cid, bool binary,
-                            uint8_t wire_version) {
+                            uint64_t slot_seq, uint64_t cid, bool binary) {
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     ++conn->inflight;
@@ -639,8 +633,8 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
   // The callback owns a shared_ptr: the Conn object outlives the service's
   // answer even if the socket dies first (the bytes are then dropped under
   // conn->closed, and no Pending ever dangles).
-  handlers_.submit(request, [this, conn, slot_seq, cid, binary,
-                             wire_version](serve::QueryResponse resp) {
+  handlers_.submit(request, [this, conn, slot_seq, cid,
+                             binary](serve::QueryResponse resp) {
     std::string bytes;
     if (binary) {
       QueryResultFrame result;
@@ -648,15 +642,12 @@ void NetServer::SubmitQuery(const std::shared_ptr<Conn>& conn,
       result.status = static_cast<uint8_t>(resp.status);
       result.rid = resp.ctx.request_id;
       result.epoch = resp.ctx.epoch;
-      result.shards_ok = resp.shards_ok;
-      result.shards_degraded = resp.shards_degraded;
-      result.shards_down = resp.shards_down;
       result.edges.reserve(resp.result.size());
       for (const auto& scored : resp.result) {
         result.edges.push_back(ResultEdge{scored.edge.u, scored.edge.v,
                                           scored.score});
       }
-      bytes = EncodeQueryResult(result, wire_version);
+      bytes = EncodeQueryResult(result);
     } else {
       bytes = handlers_.format_query ? handlers_.format_query(resp)
                                      : std::string("OK\n");

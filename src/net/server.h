@@ -167,8 +167,7 @@ class NetServer {
                       const std::string& line);
   void SubmitQuery(const std::shared_ptr<Conn>& conn,
                    const serve::QueryRequest& request, uint64_t slot_seq,
-                   uint64_t cid, bool binary,
-                   uint8_t wire_version = kWireVersion);
+                   uint64_t cid, bool binary);
   /// Reserves the next ordered output slot (under conn->mu).
   uint64_t ReserveSlot(const std::shared_ptr<Conn>& conn);
   /// Fills a reserved slot; loop-thread fast path for sync replies.

@@ -61,26 +61,6 @@ EsdQueryService::EsdQueryService(const core::EsdQueryEngine& engine,
   if (!options.start_paused) Start();
 }
 
-EsdQueryService::EsdQueryService(EngineProvider provider,
-                                 const Options& options)
-    : engine_(nullptr),
-      provider_(std::move(provider)),
-      frozen_(nullptr),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      // No epoch signal in this mode: the provider may swap engines under a
-      // constant key, so caching would serve stale answers. Disabled.
-      cache_(nullptr),
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
-  if (!options.start_paused) Start();
-}
-
 EsdQueryService::EsdQueryService(EpochEngineProvider provider,
                                  const Options& options)
     : engine_(nullptr),
@@ -93,27 +73,6 @@ EsdQueryService::EsdQueryService(EpochEngineProvider provider,
       max_batch_(std::max<size_t>(1, options.max_batch)),
       health_source_(options.health_source),
       metrics_(options.registry),
-      cache_(MakeCache(options, metrics_)),
-      slow_log_(SlowLogOptions(options)),
-      pool_(num_threads_, "serve-worker") {
-  if (!options.start_paused) Start();
-}
-
-EsdQueryService::EsdQueryService(ShardedBackend& backend,
-                                 const Options& options)
-    : engine_(nullptr),
-      sharded_(&backend),
-      frozen_(nullptr),
-      num_threads_(options.num_threads == 0
-                       ? util::ThreadPool::DefaultThreadCount()
-                       : options.num_threads),
-      max_queue_(std::max<size_t>(1, options.max_queue)),
-      max_batch_(std::max<size_t>(1, options.max_batch)),
-      health_source_(options.health_source),
-      metrics_(options.registry),
-      // The backend's monotone Generation() plays the epoch role, so the
-      // cache stays sound across shard-level events (epoch publishes,
-      // degradations, heals all rotate the generation).
       cache_(MakeCache(options, metrics_)),
       slow_log_(SlowLogOptions(options)),
       pool_(num_threads_, "serve-worker") {
@@ -272,7 +231,6 @@ obs::HealthState EsdQueryService::Health() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) own = obs::HealthState::kReadOnly;
   }
-  if (sharded_ != nullptr) own = obs::WorseHealth(own, sharded_->Health());
   if (health_source_) return obs::WorseHealth(own, health_source_());
   return own;
 }
@@ -294,22 +252,10 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
   const core::EsdQueryEngine* engine = engine_;
   const core::FrozenEsdIndex* frozen = frozen_;
   uint64_t epoch = 0;  // static engines never change: epoch 0 forever
-  // Sharded mode: the backend's monotone generation is this batch's
-  // "epoch" (cache key), and the fleet tally polled here is stamped into
-  // every response that doesn't execute (hits, dedups, strict bounces);
-  // misses get the fresher per-execute tally.
-  ShardCounts batch_shards;
-  if (sharded_ != nullptr) {
-    epoch = sharded_->Generation();
-    batch_shards = sharded_->Counts();
-  } else if (epoch_provider_) {
+  if (epoch_provider_) {
     PinnedEngine pe = epoch_provider_();
     pinned = std::move(pe.engine);
     epoch = pe.epoch;
-    engine = pinned.get();
-    frozen = dynamic_cast<const core::FrozenEsdIndex*>(engine);
-  } else if (provider_) {
-    pinned = provider_();
     engine = pinned.get();
     frozen = dynamic_cast<const core::FrozenEsdIndex*>(engine);
   }
@@ -319,8 +265,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     last_health_.store(static_cast<uint8_t>(health_source_()),
                        std::memory_order_relaxed);
   }
-  const core::ScorerKind scorer =
-      sharded_ != nullptr ? sharded_->Scorer() : engine->Scorer();
+  const core::ScorerKind scorer = engine->Scorer();
   // Group by (tau, k, pad) (stable: FIFO preserved among identical
   // requests) so the frozen engine's sizes_ binary search runs once per
   // distinct tau in the batch — one ascending-tau sweep — and identical
@@ -369,9 +314,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     rec.scorer = scorer;
     rec.cache = r.ctx.cache;
     rec.health = p.admit_health;
-    rec.shards_ok = r.shards_ok;
-    rec.shards_degraded = r.shards_degraded;
-    rec.shards_down = r.shards_down;
     rec.queue_us = r.queue_us;
     rec.exec_us = r.exec_us;
     rec.total_us = r.queue_us + r.exec_us;
@@ -388,11 +330,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
     response.ctx = p.ctx;
     obs::RequestContext& ctx = response.ctx;
     ctx.epoch = epoch;
-    if (sharded_ != nullptr) {
-      response.shards_ok = batch_shards.ok;
-      response.shards_degraded = batch_shards.degraded;
-      response.shards_down = batch_shards.down;
-    }
     response.queue_us = Micros(picked_up - p.enqueued);
     // queue_wait ends where the batch began; everything since is
     // batch_formation (sort, engine pin, earlier batchmates). Together
@@ -408,16 +345,6 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
       // Missed deadlines are forensic gold: they enter the slow log with
       // their queue-side attribution even though the engine never ran.
       record_slow(p, response, /*missed=*/true, t0);
-    } else if (sharded_ != nullptr && p.request.strict &&
-               !batch_shards.all_ok()) {
-      // Strict partial-result policy: the caller asked to fail fast rather
-      // than accept a narrowed answer, and the fleet is not whole. Decided
-      // before the cache so a stale full answer can never mask a sick
-      // shard — and without touching the backend, so it stays instant no
-      // matter what the sick shard is doing (heal probe, stall, recovery).
-      response.status = ResponseStatus::kShardsUnavailable;
-      metrics_.RecordShardsUnavailable(response.queue_us);
-      record_slow(p, response, /*missed=*/false, t0);
     } else {
       const QueryRequest& rq = p.request;
       if (!have_tau || last_tau != rq.tau) {
@@ -451,25 +378,7 @@ void EsdQueryService::ServeBatch(std::vector<Pending> batch) {
         // Without a cache there was no lookup to time: cache_lookup is
         // identically zero and the clock read would only measure itself.
         t1 = cache_ != nullptr ? obs::MonotonicNanos() : t0;
-        if (sharded_ != nullptr) {
-          // Scatter-gather miss path. The whole merge (per-shard slab
-          // cursors + k-way heap + padding) runs inside the backend and is
-          // attributed to slab_scan; the per-shard split lives in the
-          // esd_shard_* metrics rather than the six-stage enum.
-          ShardedOutcome so = sharded_->Execute(
-              rq.k, rq.tau, rq.pad_with_zero_edges, p.deadline);
-          t2 = t3 = obs::MonotonicNanos();
-          response.shards_ok = so.shards.ok;
-          response.shards_degraded = so.shards.degraded;
-          response.shards_down = so.shards.down;
-          if (so.deadline_expired) {
-            response.status = ResponseStatus::kDeadlineMissed;
-            metrics_.RecordDeadlineMissed(response.queue_us);
-            record_slow(p, response, /*missed=*/true, t2);
-            continue;  // never dedup-copied, never cached
-          }
-          response.result = std::move(so.result);
-        } else if (frozen != nullptr && rq.k > 0 && rq.tau > 0) {
+        if (frozen != nullptr && rq.k > 0 && rq.tau > 0) {
           if (!have_slab || slab_tau != rq.tau) {
             slab = frozen->FindSlab(rq.tau);
             slab_tau = rq.tau;

@@ -20,7 +20,6 @@
 #include "obs/request_context.h"
 #include "serve/metrics.h"
 #include "serve/result_cache.h"
-#include "serve/sharded_backend.h"
 #include "serve/slowlog.h"
 #include "util/thread_pool.h"
 
@@ -42,13 +41,6 @@ struct QueryRequest {
   /// arrival, so time a request spends in socket buffers and the event
   /// loop is attributed to it rather than silently dropped.
   uint64_t arrival_ns = 0;
-  /// Partial-result policy for sharded serving. false (partial, the
-  /// default): answer from whatever shards are healthy, with the fleet
-  /// tally in QueryResponse::shards_*. true (strict): any degraded or down
-  /// shard fails the request typed (kShardsUnavailable) without executing
-  /// — fail fast instead of silently narrowing the answer. Ignored by
-  /// unsharded services (a single engine is always "all shards ok").
-  bool strict = false;
 };
 
 enum class ResponseStatus : uint8_t {
@@ -56,7 +48,6 @@ enum class ResponseStatus : uint8_t {
   kRejectedQueueFull,   ///< bounced by bounded admission, never queued
   kDeadlineMissed,      ///< expired while queued, engine never ran
   kShutdown,            ///< submitted after Stop(), or unserved at teardown
-  kShardsUnavailable,   ///< strict query, but >= 1 shard degraded or down
 };
 
 /// The service's answer to one QueryRequest.
@@ -70,13 +61,6 @@ struct QueryResponse {
   /// (queue_wait + batch_formation == queue_us; the remaining stages
   /// partition exec_us). Zeroed for rejected/shutdown responses.
   obs::RequestContext ctx;
-  /// Fleet tally (sharded serving only; all zero on unsharded services):
-  /// shards that contributed to this answer, shards alive but excluded
-  /// (their edges are missing from the result), and shards down. A partial
-  /// answer is exactly one with shards_degraded + shards_down > 0.
-  uint16_t shards_ok = 0;
-  uint16_t shards_degraded = 0;
-  uint16_t shards_down = 0;
 };
 
 /// Concurrent query service over one shared immutable EsdQueryEngine — the
@@ -133,10 +117,8 @@ class EsdQueryService {
     /// service reports only its own state.
     std::function<obs::HealthState()> health_source;
     /// Byte budget of the epoch-keyed result cache; 0 (default) disables
-    /// caching entirely. Only honored in static-engine mode (the engine is
-    /// immutable, epoch 0 forever) and epoch-provider mode (epoch swaps
-    /// rotate the cache generation); the legacy EngineProvider mode has no
-    /// epoch signal and never caches.
+    /// caching entirely. A static engine is epoch 0 forever; in
+    /// epoch-provider mode epoch swaps rotate the cache generation.
     size_t cache_bytes = 0;
     /// Entry budget of the result cache (split across its shards).
     size_t cache_entries = 1 << 16;
@@ -149,43 +131,23 @@ class EsdQueryService {
     size_t slowlog_stripes = 8;
   };
 
+  /// An engine pinned with the epoch id that keys the result cache.
+  using PinnedEngine = core::PinnedEngine;
   /// Returns the engine a batch should serve from. Called once per batch
   /// (the pinning granularity): every request in a batch sees one
   /// consistent engine, and the shared_ptr keeps that engine alive for the
   /// batch even if the provider publishes a newer one mid-serve. Must be
-  /// callable from any worker thread and never return null.
-  using EngineProvider =
-      std::function<std::shared_ptr<const core::EsdQueryEngine>()>;
-
-  /// An engine pinned together with the epoch id it serves — what the
-  /// epoch-aware provider returns. The epoch keys the result cache: two
-  /// calls returning the same epoch MUST return the same (immutable)
-  /// engine image. LiveEsdIndex's seq-guarded publish provides exactly
-  /// this (epoch ids are monotone in applied_seq).
-  struct PinnedEngine {
-    std::shared_ptr<const core::EsdQueryEngine> engine;
-    uint64_t epoch = 0;
-  };
-  /// Epoch-aware engine provider; must never return a null engine.
+  /// callable from any worker thread and never return a null engine.
   using EpochEngineProvider = std::function<PinnedEngine()>;
 
   explicit EsdQueryService(const core::EsdQueryEngine& engine);
   EsdQueryService(const core::EsdQueryEngine& engine, const Options& options);
   /// Engine-swap serving mode: each batch pins the provider's current
-  /// engine (e.g. a LiveEsdIndex epoch) instead of one fixed engine.
-  /// No epoch signal, so Options::cache_bytes is ignored (never caches).
-  EsdQueryService(EngineProvider provider, const Options& options);
-  /// Epoch-aware engine-swap mode: like EngineProvider, but each batch also
-  /// learns which epoch it pinned, enabling the result cache (hits answer
-  /// without touching the engine; an epoch swap invalidates the whole
-  /// cache generation in O(1)).
+  /// engine (e.g. a LiveEsdIndex epoch) instead of one fixed engine, and
+  /// learns which epoch it pinned, which keys the result cache (hits
+  /// answer without touching the engine; an epoch swap invalidates the
+  /// whole cache generation in O(1)).
   EsdQueryService(EpochEngineProvider provider, const Options& options);
-  /// Sharded scatter-gather mode: every miss executes through `backend`
-  /// (which must outlive the service), the result cache keys on the
-  /// backend's monotone Generation() instead of a single epoch, strict
-  /// requests fail typed (kShardsUnavailable) while any shard is sick, and
-  /// every response carries the fleet tally.
-  EsdQueryService(ShardedBackend& backend, const Options& options);
   ~EsdQueryService();
 
   EsdQueryService(const EsdQueryService&) = delete;
@@ -233,8 +195,8 @@ class EsdQueryService {
     if (cache_) cache_->OnEpochChange(epoch);
   }
 
-  /// The result cache, or null when disabled (cache_bytes == 0 or legacy
-  /// provider mode). Exposed for stats surfaces (esd_server STATS, tests).
+  /// The result cache, or null when disabled (cache_bytes == 0). Exposed
+  /// for stats surfaces (esd_server STATS, tests).
   const ResultCache* cache() const { return cache_.get(); }
 
   /// Combined serving health: the worse of this service's own state (a
@@ -273,14 +235,11 @@ class EsdQueryService {
   /// exactly once — admission bounce, Stop orphan, or served batch.
   static void Resolve(Pending& p, QueryResponse response);
 
-  /// Exactly one of engine_/provider_/epoch_provider_/sharded_ is set. In
-  /// provider modes ServeBatch re-pins per batch; in static mode engine_
-  /// (and the frozen_ downcast) are fixed for the service's lifetime; in
-  /// sharded mode every miss scatter-gathers through the backend.
+  /// Exactly one of engine_/epoch_provider_ is set. In provider mode
+  /// ServeBatch re-pins per batch; in static mode engine_ (and the frozen_
+  /// downcast) are fixed for the service's lifetime.
   const core::EsdQueryEngine* engine_;
-  EngineProvider provider_;
   EpochEngineProvider epoch_provider_;
-  ShardedBackend* sharded_ = nullptr;
   /// Non-null when engine_ is a FrozenEsdIndex: enables the batched
   /// slab-reuse fast path.
   const core::FrozenEsdIndex* frozen_;

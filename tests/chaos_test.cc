@@ -33,8 +33,6 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "serve/query_service.h"
-#include "shard/partition.h"
-#include "shard/sharded_engine.h"
 #include "util/rng.h"
 
 namespace esd {
@@ -581,272 +579,6 @@ TEST_F(ChaosTest, RandomizedFaultScheduleKeepsInvariants) {
     auto engine = reopened->CurrentEngine();
     ExpectEngineParity(*engine, final_graph, "post-chaos reopen");
   }
-}
-
-// ---- Sharded fleet under fault schedules -----------------------------------
-
-/// ShardedOptions tuned like ChaosOptions: zero-sleep retries, short heal
-/// interval, and a fast stall breaker so schedules stay deterministic.
-shard::ShardedOptions ShardChaosOptions(const ScratchDir& dir,
-                                        uint32_t num_shards) {
-  shard::ShardedOptions options;
-  options.num_shards = num_shards;
-  options.dir = dir.Path("fleet");
-  options.max_vertex_id = 127;
-  options.wal_retry.max_attempts = 3;
-  options.wal_retry.base_delay = std::chrono::microseconds(0);
-  options.heal_retry_interval = std::chrono::milliseconds(2);
-  options.stall_threshold = std::chrono::microseconds(5000);
-  options.stall_breaker_trips = 1;
-  // Long enough that assertions made right after a trip can't race the
-  // lazy re-close; the heal phase sleeps past it explicitly.
-  options.stall_breaker_cooldown = std::chrono::milliseconds(300);
-  return options;
-}
-
-constexpr auto kFarDeadline = std::chrono::steady_clock::time_point::max();
-
-// The PR's acceptance scenario. One shard's WAL hits ENOSPC (read-only,
-// falls behind the fleet watermark), another's scatter probe stalls until
-// the query stall breaker quarantines it. Strict queries must fail typed,
-// partial queries must answer correctly over the healthy remainder within
-// their deadline, and after the faults clear the healed fleet must hold
-// exact edge-for-edge parity with an unsharded live index that replayed
-// the identical history.
-TEST_F(ChaosTest, ShardOutageServesPartialThenHealsToExactParity) {
-  ScratchDir dir("shard_outage");
-  graph::Graph bootstrap = gen::BarabasiAlbert(60, 3, 11);
-  const uint32_t num_shards = 3;
-  std::string error;
-  auto fleet = shard::ShardedQueryEngine::Open(
-      bootstrap, ShardChaosOptions(dir, num_shards), &error);
-  ASSERT_NE(fleet, nullptr) << error;
-
-  // The unsharded reference follows the same update history, so edge-id
-  // slots — and therefore the exact canonical answers — line up.
-  LiveOptions ref_options = ChaosOptions(dir);
-  auto reference = LiveEsdIndex::Open(bootstrap, ref_options, &error);
-  ASSERT_NE(reference, nullptr) << error;
-
-  const std::vector<LiveUpdate> updates = RandomUpdates(30, 100, 0x5A4D);
-  const std::span<const LiveUpdate> first(updates.data(), 10);
-  ASSERT_EQ(fleet->ApplyBatchTyped(first).status, ApplyStatus::kOk);
-  ASSERT_EQ(reference->ApplyBatch(first, &error), first.size()) << error;
-  ASSERT_TRUE(fleet->RefreezeAll());
-  ASSERT_TRUE(reference->RefreezeNow());
-  {
-    const serve::ShardedOutcome all_ok = fleet->Execute(64, 2, true,
-                                                        kFarDeadline);
-    EXPECT_EQ(all_ok.result, reference->CurrentEngine()->Query(64, 2));
-    EXPECT_EQ(all_ok.shards.ok, num_shards);
-  }
-
-  // Fault 1: shard 0's WAL dies. The broadcast write still succeeds on the
-  // other shards (durable on >= 1 replica), but shard 0 flips read-only
-  // and falls behind the fleet watermark — excluded as degraded.
-  Arm("wal.append.shard0", "error(ENOSPC)");
-  const std::span<const LiveUpdate> second(updates.data() + 10, 10);
-  const ApplyResult partial_write = fleet->ApplyBatchTyped(second);
-  EXPECT_EQ(partial_write.status, ApplyStatus::kOk) << partial_write.message;
-  EXPECT_NE(partial_write.message.find("behind"), std::string::npos)
-      << partial_write.message;
-  ASSERT_EQ(reference->ApplyBatch(second, &error), second.size()) << error;
-  EXPECT_EQ(fleet->Counts().degraded, 1u);
-
-  // Fault 2: shard 1's scatter probe stalls 30ms. The first query pays the
-  // delay (the cost is already sunk) and the stall breaker trips; from the
-  // next round shard 1 is down and its fail point is no longer evaluated.
-  Arm("shard.query.1", "delay(30)");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);
-  {
-    const serve::ShardCounts counts = fleet->Counts();
-    EXPECT_EQ(counts.degraded, 1u);  // shard 0: read-only + behind
-    EXPECT_EQ(counts.down, 1u);      // shard 1: stall breaker
-    EXPECT_EQ(counts.ok, 1u);        // shard 2 carries the fleet
-  }
-
-  serve::EsdQueryService::Options sopts;
-  sopts.num_threads = 1;
-  serve::EsdQueryService service(*fleet, sopts);
-
-  // Strict: typed rejection, no partial answer smuggled through.
-  serve::QueryRequest rq;
-  rq.k = 64;
-  rq.tau = 2;
-  rq.strict = true;
-  rq.deadline_us = 200000;
-  EXPECT_EQ(service.Query(rq).status,
-            serve::ResponseStatus::kShardsUnavailable);
-
-  // Partial: correct answer over the healthy remainder, within deadline.
-  // Shard 2 serves its pre-fault epoch, so the expected answer is the
-  // reference's pre-fault image restricted to shard 2's edges. (Padding is
-  // off: the full-k zero-fill would legitimately differ across epochs.)
-  rq.strict = false;
-  const serve::QueryResponse partial = service.Query(rq);
-  ASSERT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_ok, 1u);
-  EXPECT_EQ(partial.shards_degraded, 1u);
-  EXPECT_EQ(partial.shards_down, 1u);
-  {
-    const serve::ShardedOutcome got =
-        fleet->Execute(64, 2, /*pad_with_zero_edges=*/false, kFarDeadline);
-    const auto owns2 = shard::OwnsFilter(2, num_shards);
-    core::TopKResult want;
-    const FrozenEsdIndex pre_fault =
-        core::BuildFrozenIndex([&] {
-          graph::DynamicGraph shadow(bootstrap);
-          for (const LiveUpdate& u : first) ApplyToShadow(&shadow, u);
-          return shadow.Snapshot();
-        }());
-    for (const core::ScoredEdge& se : pre_fault.Query(1u << 20, 2, false)) {
-      if (owns2(se.edge) && want.size() < 64) want.push_back(se);
-    }
-    EXPECT_EQ(core::Scores(got.result), core::Scores(want));
-  }
-
-  // Heal: clear the faults, let the stall cooldown and heal interval
-  // elapse, replay the journal into shard 0, and quiesce everything.
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(350));
-  fleet->CatchUp();
-  const std::span<const LiveUpdate> third(updates.data() + 20, 10);
-  ASSERT_EQ(fleet->ApplyBatchTyped(third).status, ApplyStatus::kOk);
-  ASSERT_EQ(reference->ApplyBatch(third, &error), third.size()) << error;
-  ASSERT_TRUE(fleet->RefreezeAll());
-  ASSERT_TRUE(reference->RefreezeNow());
-
-  EXPECT_EQ(fleet->Counts().ok, num_shards);
-  EXPECT_EQ(fleet->Health(), HealthState::kOk);
-  bool replayed = false;
-  for (const shard::ShardStatus& st : fleet->Status()) {
-    EXPECT_EQ(st.state, "ok") << "shard " << st.id << ": " << st.down_reason;
-    EXPECT_EQ(st.journal_lag, 0u);
-    replayed = replayed || st.replayed > 0;
-  }
-  EXPECT_TRUE(replayed) << "shard 0 never replayed the journaled writes";
-
-  // Exact parity with the unsharded reference, padding included.
-  const auto healed_ref = reference->CurrentEngine();
-  for (uint32_t tau : {1u, 2u, 3u, 5u}) {
-    for (uint32_t k : {1u, 8u, 64u, 256u}) {
-      const serve::ShardedOutcome got = fleet->Execute(k, tau, true,
-                                                       kFarDeadline);
-      EXPECT_EQ(got.result, healed_ref->Query(k, tau))
-          << "healed fleet diverged at k=" << k << " tau=" << tau;
-    }
-  }
-  EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
-}
-
-// The stall breaker re-admits a shard after its cooldown: trip it, verify
-// queries skip it (fail point no longer evaluated), then — fault cleared,
-// cooldown elapsed — the shard rejoins with full-fleet parity.
-TEST_F(ChaosTest, ShardStallBreakerCoolsDownAndRejoins) {
-  graph::Graph g = gen::BarabasiAlbert(80, 3, 41);
-  shard::ShardedOptions options;
-  options.num_shards = 3;
-  options.stall_threshold = std::chrono::microseconds(5000);
-  options.stall_breaker_trips = 1;
-  options.stall_breaker_cooldown = std::chrono::milliseconds(200);
-  auto fleet = shard::ShardedQueryEngine::BuildStatic(g, options);
-  ASSERT_NE(fleet, nullptr);
-  const FrozenEsdIndex full = core::BuildFrozenIndex(g);
-
-  Arm("shard.query.2", "delay(20)");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);  // pays the delay, trips
-  EXPECT_EQ(fleet->Counts().down, 1u);
-
-  // Tripped: the shard is skipped without evaluating its fail point, so
-  // this query is fast even though the delay is still armed.
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::ShardedOutcome skipped = fleet->Execute(8, 2, true,
-                                                       kFarDeadline);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(skipped.shards.down, 1u);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            15);
-  const uint64_t hits_while_tripped =
-      FailPointRegistry::Global().HitCount("shard.query.2");
-  (void)fleet->Execute(8, 2, true, kFarDeadline);
-  EXPECT_EQ(FailPointRegistry::Global().HitCount("shard.query.2"),
-            hits_while_tripped);
-
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(options.stall_breaker_cooldown +
-                              std::chrono::milliseconds(10));
-  const serve::ShardedOutcome healed = fleet->Execute(64, 2, true,
-                                                      kFarDeadline);
-  EXPECT_EQ(healed.shards.ok, 3u);
-  EXPECT_EQ(healed.result, full.Query(64, 2));
-}
-
-// Satellite regression: a request admitted while a shard heal probe is in
-// flight must get its typed answer immediately — classification reads
-// atomics, never the write path's mutex — not stall behind the probe.
-TEST_F(ChaosTest, ShardQueryDuringInFlightHealProbeAnswersTypedNotStalls) {
-  ScratchDir dir("heal_probe");
-  graph::Graph bootstrap = gen::BarabasiAlbert(50, 3, 53);
-  std::string error;
-  auto fleet = shard::ShardedQueryEngine::Open(
-      bootstrap, ShardChaosOptions(dir, 2), &error);
-  ASSERT_NE(fleet, nullptr) << error;
-
-  // Knock shard 0 read-only and behind the watermark.
-  const std::vector<LiveUpdate> updates = RandomUpdates(8, 90, 0x9EA1);
-  Arm("wal.append.shard0", "error(ENOSPC)");
-  const ApplyResult r =
-      fleet->ApplyBatchTyped({updates.data(), updates.size()});
-  EXPECT_EQ(r.status, ApplyStatus::kOk) << r.message;
-  EXPECT_EQ(fleet->Counts().degraded, 1u);
-
-  // Re-arm as a 150ms-per-append stall and start a heal attempt in the
-  // background: CatchUp holds the write path inside shard 0's WAL probe
-  // and replay for the whole delay window.
-  FailPointRegistry::Global().ClearAll();
-  Arm("wal.append.shard0", "delay(150)");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // heal interval
-  std::thread healer([&] { fleet->CatchUp(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // probe armed
-
-  serve::EsdQueryService::Options sopts;
-  sopts.num_threads = 1;
-  serve::EsdQueryService service(*fleet, sopts);
-  serve::QueryRequest rq;
-  rq.k = 8;
-  rq.tau = 2;
-  rq.deadline_us = 50000;
-
-  // Strict: the shard is still behind while its probe sleeps, so the
-  // typed rejection must come back well inside the probe's 250ms.
-  rq.strict = true;
-  const auto t0 = std::chrono::steady_clock::now();
-  const serve::QueryResponse strict_resp = service.Query(rq);
-  const auto strict_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_EQ(strict_resp.status, serve::ResponseStatus::kShardsUnavailable);
-  EXPECT_LT(strict_ms.count(), 150) << "strict rejection stalled on the heal";
-
-  // Partial: served from shard 1 inside the deadline, same non-blocking
-  // guarantee.
-  rq.strict = false;
-  const auto t1 = std::chrono::steady_clock::now();
-  const serve::QueryResponse partial = service.Query(rq);
-  const auto partial_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - t1);
-  EXPECT_EQ(partial.status, serve::ResponseStatus::kOk);
-  EXPECT_EQ(partial.shards_degraded, 1u);
-  EXPECT_LT(partial_ms.count(), 150) << "partial answer stalled on the heal";
-
-  healer.join();
-  FailPointRegistry::Global().ClearAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fleet->CatchUp();
-  EXPECT_EQ(fleet->Counts().ok, 2u);
-  rq.strict = true;
-  EXPECT_EQ(service.Query(rq).status, serve::ResponseStatus::kOk);
 }
 
 }  // namespace

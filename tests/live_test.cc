@@ -621,6 +621,9 @@ TEST(LiveIndexTest, RefreezePublishesFreshEpochs) {
 // bumps before the sleep, giving the test a sync point), letting a second,
 // newer refreeze overtake it deterministically.
 TEST(LiveIndexTest, StalePublishDiscardedBySeqGuard) {
+  if (!fault::kFailPointsCompiledIn) {
+    GTEST_SKIP() << "ESD_FAULT=OFF: the live.refreeze delay compiles out";
+  }
   ScratchDir dir("live_pubrace");
   LiveOptions options;
   options.wal_path = dir.Path("wal.bin");

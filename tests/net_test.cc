@@ -190,6 +190,12 @@ TEST(NetWireTest, BadVersionAndFlagsRejected) {
   Frame out;
   EXPECT_EQ(dec1.Next(&out), WireStatus::kBadVersion);
 
+  // The wire has one version: its successor is as unknown as any other.
+  frame[1] = static_cast<char>(net::kWireVersion + 1);
+  FrameDecoder dec_next;
+  dec_next.Feed(frame);
+  EXPECT_EQ(dec_next.Next(&out), WireStatus::kBadVersion);
+
   frame = net::EncodeFrame(FrameType::kPing, "");
   frame[3] = 0x40;  // reserved flags must be zero
   FrameDecoder dec2;
@@ -241,6 +247,13 @@ TEST(NetWireTest, QueryPayloadWrongSizeIsBadPayload) {
   ASSERT_EQ(dec.Next(&out), WireStatus::kOk);
   QueryFrame got;
   EXPECT_EQ(net::DecodeQuery(out.payload, &got), WireStatus::kBadPayload);
+
+  // One byte past the 25-byte query payload is malformed too.
+  std::string payload =
+      EncodeQuery(QueryFrame{}).substr(net::kFrameHeaderBytes);
+  ASSERT_EQ(payload.size(), 25u);
+  payload.push_back(0);
+  EXPECT_EQ(net::DecodeQuery(payload, &got), WireStatus::kBadPayload);
 }
 
 TEST(NetWireTest, QueryResultCountValidatedAgainstPayload) {
@@ -248,10 +261,9 @@ TEST(NetWireTest, QueryResultCountValidatedAgainstPayload) {
   r.edges = {{1, 2, 3}};
   std::string frame = EncodeQueryResult(r);
   // Inflate the declared edge count without supplying the bytes. The count
-  // lives in the payload (after the v2 prefix: cid,status,rid,epoch + the
-  // 3 u16 shard tallies); corrupting it must yield kBadPayload, not a huge
-  // allocation.
-  const size_t count_off = net::kFrameHeaderBytes + 8 + 1 + 8 + 8 + 6;
+  // lives in the payload (after the prefix: cid,status,rid,epoch);
+  // corrupting it must yield kBadPayload, not a huge allocation.
+  const size_t count_off = net::kFrameHeaderBytes + 8 + 1 + 8 + 8;
   ASSERT_LT(count_off + 4, frame.size());
   const uint32_t bogus = 1000000;
   std::memcpy(&frame[count_off], &bogus, 4);
