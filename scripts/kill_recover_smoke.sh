@@ -47,11 +47,11 @@ feed | env ESD_FAILPOINTS="$SMOKE_FAILPOINTS" \
   --threads 2 --live-dir "$LIVE" > "$DIR/server1.log" 2>&1 &
 SERVER_PID=$!
 
-# Wait until the WAL holds at least ~100 records past its 8-byte header
+# Wait until the WAL holds at least ~100 records past its 12-byte header
 # (records are 29 bytes), then SIGKILL the server mid-stream. Checkpoints
-# reset the file to 8 bytes, so any size past the threshold means we are
+# reset the file to 12 bytes, so any size past the threshold means we are
 # genuinely in the middle of an un-checkpointed suffix.
-THRESHOLD=2908
+THRESHOLD=2912
 tries=0
 while :; do
   if [ -f "$WAL" ]; then size=$(wc -c < "$WAL"); else size=0; fi

@@ -35,7 +35,7 @@ class EsdIndex;
 /// round-trips losslessly to/from EsdIndex (Freeze / Thaw below).
 ///
 /// Every array is a straight contiguous allocation, which is what makes the
-/// index_io v2 format a plain sequence of array writes (mmap-friendly) and
+/// index_io file format a plain sequence of array writes (mmap-friendly) and
 /// lets a loaded file serve queries with no rebuild step.
 class FrozenEsdIndex final : public EsdQueryEngine {
  public:
@@ -176,7 +176,7 @@ class FrozenEsdIndex final : public EsdQueryEngine {
     return {entries_.data() + offsets_[i], entries_.data() + offsets_[i + 1]};
   }
 
-  /// Raw array views, in v2 serialization order.
+  /// Raw array views, in serialization order.
   std::span<const graph::Edge> Edges() const { return edges_; }
   std::span<const uint8_t> LiveMask() const { return live_; }
   std::span<const uint64_t> SizeOffsets() const { return size_offsets_; }
@@ -208,7 +208,8 @@ class FrozenEsdIndex final : public EsdQueryEngine {
 FrozenEsdIndex Freeze(const EsdIndex& index);
 
 /// Reconstructs a mutable EsdIndex from a frozen image (the H(c) treaps are
-/// rebuilt from the stored multisets, exactly as the v1 loader does).
+/// rebuilt from the stored multisets). This is how the treap engine loads
+/// an index file.
 EsdIndex Thaw(const FrozenEsdIndex& frozen);
 
 }  // namespace esd::core

@@ -17,8 +17,10 @@ namespace esd::live {
 namespace {
 
 constexpr char kWalMagic[4] = {'E', 'S', 'D', 'W'};
-constexpr uint32_t kWalVersion = 1;        // 8-byte header, implicitly kEsd
-constexpr uint32_t kWalVersionScorer = 2;  // 12-byte header with scorer id
+// Version 1 (an 8-byte header without the scorer id) is retired; its number
+// is not reused.
+constexpr uint32_t kWalVersion = 2;
+constexpr size_t kMagicAndVersionBytes = 8;
 
 void EncodeU32(char* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
 void EncodeU64(char* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
@@ -54,6 +56,30 @@ WalRecord DecodePayload(const char* src) {
 bool SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
+}
+
+bool IsEsdwMagicAndVersion(const char* header) {
+  return std::memcmp(header, kWalMagic, sizeof(kWalMagic)) == 0 &&
+         DecodeU32(header + 4) == kWalVersion;
+}
+
+/// Checks a file header: magic and version (the first
+/// kMagicAndVersionBytes, all it reads of a foreign header), then a known
+/// scorer id, which it stores in *scorer.
+bool ParseFileHeader(const char* header, const std::string& path,
+                     core::ScorerKind* scorer, std::string* error) {
+  if (!IsEsdwMagicAndVersion(header)) {
+    return SetError(error, "bad wal header: " + path +
+                               " is not an ESDW version-2 log");
+  }
+  const uint32_t raw = DecodeU32(header + kMagicAndVersionBytes);
+  if (!core::ValidScorerKind(raw)) {
+    return SetError(error, "bad wal header: " + path +
+                               " names unknown scorer id " +
+                               std::to_string(raw));
+  }
+  *scorer = static_cast<core::ScorerKind>(raw);
+  return true;
 }
 
 }  // namespace
@@ -107,41 +133,24 @@ bool ReplayWal(const std::string& path,
     return SetError(error, "cannot open wal file " + path);
   }
 
-  char header[kWalFileHeaderBytes];
+  char header[kWalFileHeaderBytes] = {};
   in.read(header, sizeof(header));
   const std::streamsize got = in.gcount();
   if (got == 0) return true;  // empty file: fresh log
-  if (got < static_cast<std::streamsize>(sizeof(header))) {
+  // A short header is torn unless its magic and version are already on
+  // disk and foreign: a foreign file is refused even when it is short.
+  if (got < static_cast<std::streamsize>(sizeof(header)) &&
+      (got < static_cast<std::streamsize>(kMagicAndVersionBytes) ||
+       IsEsdwMagicAndVersion(header))) {
     // The initial header write itself was torn; nothing was ever logged.
     result->tail = WalTailStatus::kTruncatedRecord;
     return true;
   }
-  const uint32_t version = DecodeU32(header + 4);
-  if (std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0 ||
-      (version != kWalVersion && version != kWalVersionScorer)) {
+  if (!ParseFileHeader(header, path, &result->scorer, error)) {
     result->tail = WalTailStatus::kBadFileHeader;
-    return SetError(error, "bad wal header: " + path + " is not an ESDW log");
+    return false;
   }
   result->valid_bytes = kWalFileHeaderBytes;
-  if (version == kWalVersionScorer) {
-    char scorer_field[4];
-    in.read(scorer_field, sizeof(scorer_field));
-    if (in.gcount() < static_cast<std::streamsize>(sizeof(scorer_field))) {
-      // Torn mid-header: nothing was ever logged.
-      result->valid_bytes = 0;
-      result->tail = WalTailStatus::kTruncatedRecord;
-      return true;
-    }
-    const uint32_t raw = DecodeU32(scorer_field);
-    if (!core::ValidScorerKind(raw)) {
-      result->tail = WalTailStatus::kBadFileHeader;
-      return SetError(error, "bad wal header: " + path +
-                                 " names unknown scorer id " +
-                                 std::to_string(raw));
-    }
-    result->scorer = static_cast<core::ScorerKind>(raw);
-    result->valid_bytes = kWalFileHeaderBytesV2;
-  }
 
   // Fixed stack buffer: a corrupt length prefix can never over-allocate.
   char payload[kMaxWalRecordBytes];
@@ -218,11 +227,11 @@ bool WalWriter::Open(const std::string& path, std::string* error,
   }
   bytes_ = static_cast<uint64_t>(st.st_size);
   if (bytes_ == 0) {
-    // Fresh log: always the v2 header, stamped with the caller's scorer.
-    char header[kWalFileHeaderBytesV2];
+    // Fresh log: stamped with the caller's scorer.
+    char header[kWalFileHeaderBytes];
     std::memcpy(header, kWalMagic, sizeof(kWalMagic));
-    EncodeU32(header + 4, kWalVersionScorer);
-    EncodeU32(header + 8, static_cast<uint32_t>(scorer));
+    EncodeU32(header + 4, kWalVersion);
+    EncodeU32(header + kMagicAndVersionBytes, static_cast<uint32_t>(scorer));
     const util::WriteResult wr = util::WriteFully(fd_, header, sizeof(header));
     eintr_retries_ += wr.eintr_retries;
     if (!wr.ok) {
@@ -237,8 +246,7 @@ bool WalWriter::Open(const std::string& path, std::string* error,
       Close();
       return false;
     }
-    bytes_ = kWalFileHeaderBytesV2;
-    header_bytes_ = kWalFileHeaderBytesV2;
+    bytes_ = kWalFileHeaderBytes;
     return true;
   }
   if (bytes_ < kWalFileHeaderBytes) {
@@ -250,32 +258,14 @@ bool WalWriter::Open(const std::string& path, std::string* error,
   // and to our own scorer's log, not another engine's.
   std::ifstream in(path, std::ios::binary);
   char header[kWalFileHeaderBytes];
-  in.read(header, sizeof(header));
-  const uint32_t version = in ? DecodeU32(header + 4) : 0;
-  if (!in || std::memcmp(header, kWalMagic, sizeof(kWalMagic)) != 0 ||
-      (version != kWalVersion && version != kWalVersionScorer)) {
-    Close();
-    return SetError(error, "bad wal header: " + path + " is not an ESDW log");
-  }
   core::ScorerKind file_scorer = core::ScorerKind::kEsd;
-  header_bytes_ = kWalFileHeaderBytes;
-  if (version == kWalVersionScorer) {
-    char scorer_field[4];
-    in.read(scorer_field, sizeof(scorer_field));
-    if (!in || bytes_ < kWalFileHeaderBytesV2) {
-      Close();
-      return SetError(error, "wal file " + path +
-                                 " has a torn header; run recovery first");
-    }
-    const uint32_t raw = DecodeU32(scorer_field);
-    if (!core::ValidScorerKind(raw)) {
-      Close();
-      return SetError(error, "bad wal header: " + path +
-                                 " names unknown scorer id " +
-                                 std::to_string(raw));
-    }
-    file_scorer = static_cast<core::ScorerKind>(raw);
-    header_bytes_ = kWalFileHeaderBytesV2;
+  if (!in.read(header, sizeof(header))) {
+    Close();
+    return SetError(error, "cannot read wal header of " + path);
+  }
+  if (!ParseFileHeader(header, path, &file_scorer, error)) {
+    Close();
+    return false;
   }
   if (file_scorer != scorer) {
     Close();
@@ -381,13 +371,13 @@ bool WalWriter::TruncateAll(std::string* error) {
     return SetError(error, std::string("wal truncate failed: ") +
                                std::strerror(hit.error_code) + " [injected]");
   }
-  if (::ftruncate(fd_, static_cast<off_t>(header_bytes_)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(kWalFileHeaderBytes)) != 0) {
     last_status_ = WalIoStatus::kIoError;
     last_errno_ = errno;
     return SetError(error, std::string("wal truncate failed: ") +
                                std::strerror(errno));
   }
-  bytes_ = header_bytes_;
+  bytes_ = kWalFileHeaderBytes;
   tail_dirty_ = false;
   return Sync(error);
 }

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/dynamic_index.h"
 #include "core/edge_dsu_arena.h"
 #include "core/ego_network.h"
+#include "core/frozen_index.h"
 #include "core/index_builder.h"
 #include "core/index_io.h"
 #include "gen/chung_lu.h"
@@ -229,22 +229,8 @@ TEST(EdgeDsuArenaTest, PackedComponentSizesMatchPerEdgeSizes) {
 // Index serialization
 // ---------------------------------------------------------------------------
 
-TEST(IndexIoTest, RoundTripFreshIndex) {
-  Graph g = gen::HolmeKim(200, 5, 0.5, 5);
-  core::EsdIndex index = core::BuildIndexClique(g);
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::DeserializeIndex(buffer, &loaded, &error)) << error;
-  test::ExpectIndexesEqual(index, loaded);
-  EXPECT_EQ(loaded.NumRegisteredEdges(), index.NumRegisteredEdges());
-  // Queries behave identically.
-  for (uint32_t tau : {1u, 2u, 3u}) {
-    EXPECT_EQ(core::Scores(loaded.Query(20, tau)),
-              core::Scores(index.Query(20, tau)));
-  }
-}
+// The treap engine persists through the one index file format: it saves
+// Freeze(index) and thaws what it loads.
 
 TEST(IndexIoTest, RoundTripWithFreedSlots) {
   core::EsdIndex index;
@@ -256,15 +242,19 @@ TEST(IndexIoTest, RoundTripWithFreedSlots) {
   index.SetEdgeSizes(c, {2, 2});
   index.SetEdgeSizes(b, {});
   index.UnregisterEdge(b);
-  std::stringstream buffer;
+  const std::string path = ::testing::TempDir() + "/esd_index_io_freed.bin";
   std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::DeserializeIndex(buffer, &loaded, &error)) << error;
+  ASSERT_TRUE(core::SaveFrozenIndex(core::Freeze(index), path, &error))
+      << error;
+  core::FrozenEsdIndex image;
+  ASSERT_TRUE(core::LoadFrozenIndex(path, &image, &error)) << error;
+  const core::EsdIndex loaded = core::Thaw(image);
   test::ExpectIndexesEqual(index, loaded);
+  EXPECT_EQ(loaded.EdgeSlotCount(), 3u);
   EXPECT_FALSE(loaded.IsLive(b));
   EXPECT_TRUE(loaded.IsLive(a));
   EXPECT_EQ(loaded.EdgeSizes(c), (std::vector<uint32_t>{2, 2}));
+  std::remove(path.c_str());
 }
 
 TEST(IndexIoTest, FileRoundTrip) {
@@ -272,45 +262,24 @@ TEST(IndexIoTest, FileRoundTrip) {
   core::EsdIndex index = core::BuildIndexBasic(g);
   std::string path = ::testing::TempDir() + "/esd_index_io_test.bin";
   std::string error;
-  ASSERT_TRUE(core::SaveIndex(index, path, &error)) << error;
-  core::EsdIndex loaded;
-  ASSERT_TRUE(core::LoadIndex(path, &loaded, &error)) << error;
+  ASSERT_TRUE(core::SaveFrozenIndex(core::Freeze(index), path, &error))
+      << error;
+  core::FrozenEsdIndex image;
+  ASSERT_TRUE(core::LoadFrozenIndex(path, &image, &error)) << error;
+  const core::EsdIndex loaded = core::Thaw(image);
   test::ExpectIndexesEqual(index, loaded);
+  for (uint32_t tau : {1u, 2u, 3u}) {
+    EXPECT_EQ(core::Scores(loaded.Query(20, tau)),
+              core::Scores(index.Query(20, tau)));
+  }
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, RejectsBadMagicAndTruncationAndCorruption) {
-  Graph g = gen::ErdosRenyiGnp(20, 0.3, 9);
-  core::EsdIndex index = core::BuildIndexBasic(g);
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(index, buffer, &error));
-  std::string payload = buffer.str();
-
-  {
-    std::stringstream bad("not an index at all");
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(bad, &out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos);
-  }
-  {
-    std::stringstream truncated(payload.substr(0, payload.size() / 2));
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(truncated, &out, &error));
-  }
-  {
-    std::string corrupt = payload;
-    corrupt[corrupt.size() / 2] ^= 0x5A;  // flip bits mid-payload
-    std::stringstream stream(corrupt);
-    core::EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(stream, &out, &error));
-  }
-}
-
 TEST(IndexIoTest, LoadMissingFileFails) {
-  core::EsdIndex out;
+  core::FrozenEsdIndex out;
   std::string error;
-  EXPECT_FALSE(core::LoadIndex("/definitely/not/here.bin", &out, &error));
+  EXPECT_FALSE(
+      core::LoadFrozenIndex("/definitely/not/here.bin", &out, &error));
   EXPECT_FALSE(error.empty());
 }
 

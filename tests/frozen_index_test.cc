@@ -1,8 +1,7 @@
 // FrozenEsdIndex: the read-optimized serving layer must be observationally
 // identical to the treap index it images — on every query, for every
 // (k, tau), including the documented zero-padding order — and must
-// round-trip losslessly through Freeze/Thaw and both index_io file
-// versions.
+// round-trip losslessly through Freeze/Thaw and the index_io file format.
 
 #include <unistd.h>
 
@@ -11,12 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/binary_format.h"
 #include "core/dynamic_index.h"
 #include "core/esd_index.h"
 #include "core/frozen_index.h"
@@ -331,7 +332,7 @@ TEST(FrozenIndexTest, EmptyAndDefaultImages) {
   EXPECT_EQ(empty.EdgeSlotCount(), 0u);
 
   // Even a default image (whose offset tables are empty rather than the
-  // canonical single zero) serializes to a loadable v2 file, and loading
+  // canonical single zero) serializes to a loadable file, and loading
   // normalizes it to the canonical empty image.
   std::stringstream buf;
   std::string error;
@@ -618,64 +619,62 @@ TEST(IndexIoV2Test, FrozenRoundTripV2) {
   }
 }
 
-TEST(IndexIoV2Test, V1FileLoadsIntoBothEngines) {
-  graph::Graph g = gen::ErdosRenyiGnm(35, 140, 6);
-  EsdIndex built = core::BuildIndexClique(g);
-  std::stringstream buf;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(built, buf, &error)) << error;
-  const std::string v1 = buf.str();
-
-  std::stringstream in_treap(v1);
-  EsdIndex as_treap;
-  ASSERT_TRUE(core::DeserializeIndex(in_treap, &as_treap, &error)) << error;
-  std::stringstream in_frozen(v1);
-  FrozenEsdIndex as_frozen;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(in_frozen, &as_frozen, &error))
-      << error;
-
-  test::ExpectIndexesEqual(built, as_treap);
-  EXPECT_TRUE(as_frozen == core::Freeze(built));
-  ExpectEngineParity(as_treap, as_frozen);
-}
-
 TEST(IndexIoV2Test, V2FileLoadsIntoBothEngines) {
+  // One file format for both engines: the treap engine saves Freeze(index),
+  // which is byte-identical to the frozen builder's image, and thaws what
+  // it loads.
   graph::Graph g = gen::ErdosRenyiGnm(35, 140, 7);
-  FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
-  std::stringstream buf;
+  const EsdIndex built = core::BuildIndexClique(g);
+  const FrozenEsdIndex frozen = core::BuildFrozenIndex(g);
+  std::stringstream from_treap, from_frozen;
   std::string error;
-  ASSERT_TRUE(core::SerializeFrozenIndex(frozen, buf, &error)) << error;
-  const std::string v2 = buf.str();
-
-  std::stringstream in_frozen(v2);
-  FrozenEsdIndex as_frozen;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(in_frozen, &as_frozen, &error))
+  ASSERT_TRUE(core::SerializeFrozenIndex(core::Freeze(built), from_treap,
+                                         &error))
       << error;
-  std::stringstream in_treap(v2);
-  EsdIndex as_treap;
-  ASSERT_TRUE(core::DeserializeIndex(in_treap, &as_treap, &error)) << error;
+  ASSERT_TRUE(core::SerializeFrozenIndex(frozen, from_frozen, &error))
+      << error;
+  EXPECT_EQ(from_treap.str(), from_frozen.str());
+
+  FrozenEsdIndex as_frozen;
+  ASSERT_TRUE(core::DeserializeFrozenIndex(from_treap, &as_frozen, &error))
+      << error;
+  const EsdIndex as_treap = core::Thaw(as_frozen);
 
   EXPECT_TRUE(as_frozen == frozen);
-  test::ExpectIndexesEqual(as_treap, core::Thaw(frozen));
+  test::ExpectIndexesEqual(as_treap, built);
   ExpectEngineParity(as_treap, as_frozen);
 }
 
-TEST(IndexIoV2Test, V1ToV2MigrationPreservesAnswers) {
-  // The migration path: load a legacy v1 file into the serving layer, save
-  // it as v2, reload — every answer must survive both hops.
-  graph::Graph g = gen::BarabasiAlbert(45, 2, 11);
-  EsdIndex built = core::BuildIndexClique(g);
-  std::stringstream v1;
-  std::string error;
-  ASSERT_TRUE(core::SerializeIndex(built, v1, &error)) << error;
-  FrozenEsdIndex migrated;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(v1, &migrated, &error)) << error;
-  std::stringstream v2;
-  ASSERT_TRUE(core::SerializeFrozenIndex(migrated, v2, &error)) << error;
-  FrozenEsdIndex reloaded;
-  ASSERT_TRUE(core::DeserializeFrozenIndex(v2, &reloaded, &error)) << error;
-  EXPECT_TRUE(reloaded == migrated);
-  ExpectEngineParity(built, reloaded);
+/// A well-formed index file in a retired layout, checksum intact:
+/// version 1 = per-slot records {u, v, live, size count, sizes}, version 2
+/// = the frozen arrays without a scorer id, version 3 = version 1 with a
+/// leading scorer id.
+std::string RetiredIndexFile(const FrozenEsdIndex& frozen, uint32_t version) {
+  std::stringstream out;
+  out.write("ESDX", 4);
+  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  core::BinaryWriter w(out);
+  if (version == 2) {
+    // The version-4 body minus its scorer id (bytes 8..11) and checksum.
+    std::stringstream v4;
+    EXPECT_TRUE(core::SerializeFrozenIndex(frozen, v4, nullptr));
+    const std::string body = v4.str();
+    w.PutRaw(body.data() + 12, body.size() - 12 - 8);
+  } else {
+    if (version == 3) w.Put(static_cast<uint32_t>(frozen.Scorer()));
+    w.Put(static_cast<uint64_t>(frozen.EdgeSlotCount()));
+    for (graph::EdgeId e = 0; e < frozen.EdgeSlotCount(); ++e) {
+      w.Put(frozen.EdgeAt(e).u);
+      w.Put(frozen.EdgeAt(e).v);
+      w.Put(static_cast<uint8_t>(frozen.IsLive(e) ? 1 : 0));
+      const std::span<const uint32_t> sizes = frozen.EdgeSizes(e);
+      w.Put(static_cast<uint32_t>(sizes.size()));
+      for (uint32_t size : sizes) w.Put(size);
+    }
+  }
+  const uint64_t checksum = w.checksum();
+  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return out.str();
 }
 
 TEST(IndexIoV2Test, CorruptV2Rejected) {
@@ -693,12 +692,22 @@ TEST(IndexIoV2Test, CorruptV2Rejected) {
     FrozenEsdIndex out;
     EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
   }
-  {  // Unsupported version.
+  {  // Unknown version.
     std::string bad = good;
     bad[4] = 99;
     std::stringstream in(bad);
     FrozenEsdIndex out;
     EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
+  }
+  // Well-formed files of the retired versions 1-3 are refused too: only
+  // version 4 is read.
+  for (const uint32_t version : {1u, 2u, 3u}) {
+    std::stringstream in(RetiredIndexFile(frozen, version));
+    FrozenEsdIndex out;
+    const core::IndexIoResult res =
+        core::DeserializeFrozenIndex(in, &out, core::ScorerKind::kEsd);
+    EXPECT_EQ(res.status, core::IndexIoStatus::kFormatError)
+        << "version " << version;
   }
   {  // Flipped payload byte: the checksum (or Adopt) must catch it.
     std::string bad = good;
@@ -712,13 +721,6 @@ TEST(IndexIoV2Test, CorruptV2Rejected) {
     std::stringstream in(bad);
     FrozenEsdIndex out;
     EXPECT_FALSE(core::DeserializeFrozenIndex(in, &out, &error));
-  }
-  {  // A v2 stream also fails cleanly through the treap loader.
-    std::string bad = good;
-    bad[bad.size() / 2] ^= 0x20;
-    std::stringstream in(bad);
-    EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(in, &out, &error));
   }
 }
 
@@ -746,7 +748,7 @@ std::vector<size_t> V2CountOffsets(const FrozenEsdIndex& frozen) {
 }
 
 TEST(IndexIoV2Test, OversizedCountsRejectedWithoutAllocation) {
-  // A corrupt or hostile v2 file may claim any 64-bit element count; the
+  // A corrupt or hostile index file may claim any 64-bit element count; the
   // loader must reject it with a parse error before trusting it with an
   // allocation. Fuzz every array's count slot with a spread of oversized
   // values (the driver acceptance case: no multi-GB resize, no n*sizeof(T)
@@ -775,15 +777,6 @@ TEST(IndexIoV2Test, OversizedCountsRejectedWithoutAllocation) {
       EXPECT_NE(error.find("exceeds remaining bytes"), std::string::npos)
           << "offset=" << offset << " n=" << n << " error=" << error;
     }
-  }
-  // The same hostile counts must fail the treap loader's v2 path too.
-  {
-    std::string bad = good;
-    const uint64_t huge = uint64_t{1} << 61;
-    std::memcpy(bad.data() + 8, &huge, sizeof(huge));
-    std::stringstream in(bad);
-    EsdIndex out;
-    EXPECT_FALSE(core::DeserializeIndex(in, &out, &error));
   }
 }
 

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/binary_format.h"
 #include "core/dynamic_index.h"
 #include "core/frozen_index.h"
 #include "core/index_builder.h"
@@ -181,23 +183,23 @@ TEST(LiveWalTest, TruncationSweepDeliversLongestValidPrefix) {
         &error))
         << "cut=" << cut << ": " << error;
     const size_t whole_records =
-        cut < live::kWalFileHeaderBytesV2
+        cut < live::kWalFileHeaderBytes
             ? 0
-            : (cut - live::kWalFileHeaderBytesV2) / record_bytes;
+            : (cut - live::kWalFileHeaderBytes) / record_bytes;
     EXPECT_EQ(delivered, whole_records) << "cut=" << cut;
     EXPECT_EQ(result.records, whole_records) << "cut=" << cut;
     const bool at_boundary =
-        cut == 0 || (cut >= live::kWalFileHeaderBytesV2 &&
-                     (cut - live::kWalFileHeaderBytesV2) % record_bytes == 0);
+        cut == 0 || (cut >= live::kWalFileHeaderBytes &&
+                     (cut - live::kWalFileHeaderBytes) % record_bytes == 0);
     EXPECT_EQ(result.tail == WalTailStatus::kClean, at_boundary)
         << "cut=" << cut;
     if (!at_boundary) {
       EXPECT_EQ(result.tail, WalTailStatus::kTruncatedRecord)
           << "cut=" << cut;
       EXPECT_EQ(result.valid_bytes,
-                cut < live::kWalFileHeaderBytesV2
+                cut < live::kWalFileHeaderBytes
                     ? 0
-                    : live::kWalFileHeaderBytesV2 +
+                    : live::kWalFileHeaderBytes +
                           whole_records * record_bytes)
           << "cut=" << cut;
     }
@@ -225,7 +227,7 @@ TEST(LiveWalTest, BitFlipSweepNeverCrashesAndTypesTheTail) {
     const bool ok = live::ReplayWal(
         flipped, [&delivered](const WalRecord&) { ++delivered; }, &result,
         &error);
-    if (pos < live::kWalFileHeaderBytesV2) {
+    if (pos < live::kWalFileHeaderBytes) {
       EXPECT_FALSE(ok) << "pos=" << pos;
       EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader) << "pos=" << pos;
       EXPECT_EQ(delivered, 0u);
@@ -237,7 +239,7 @@ TEST(LiveWalTest, BitFlipSweepNeverCrashesAndTypesTheTail) {
     const size_t record_bytes =
         live::kWalRecordHeaderBytes + live::kWalPayloadBytes;
     const size_t hit_record =
-        (pos - live::kWalFileHeaderBytesV2) / record_bytes;
+        (pos - live::kWalFileHeaderBytes) / record_bytes;
     EXPECT_EQ(delivered, hit_record) << "pos=" << pos;
     EXPECT_NE(result.tail, WalTailStatus::kClean) << "pos=" << pos;
     EXPECT_NE(result.tail, WalTailStatus::kBadFileHeader) << "pos=" << pos;
@@ -274,7 +276,7 @@ TEST(LiveWalTest, OversizedAndMalformedLengthPrefixes) {
     EXPECT_EQ(result.tail, WalTailStatus::kOversizedRecord);
   }
   {
-    // In-bounds but not a v1 payload size.
+    // In-bounds but not the payload size.
     const std::string malformed = dir.Path("malformed.bin");
     WriteFileBytes(malformed, with_third_record_len(16));
     WalReplayResult result;
@@ -287,22 +289,35 @@ TEST(LiveWalTest, OversizedAndMalformedLengthPrefixes) {
 
 TEST(LiveWalTest, ForeignFileRefusedByReplayAndWriter) {
   ScratchDir dir("wal_foreign");
-  const std::string path = dir.Path("not_a_wal.bin");
-  WriteFileBytes(path, "this is certainly not an ESDW log at all");
+  // A log in the retired version-1 layout: "ESDW" + u32 1 (no scorer id),
+  // then ordinary records. Only the version-2 header is read.
+  WriteLog(dir.Path("log.bin"), MakeRecords(3));
+  const uint32_t retired_version = 1;
+  const std::string v1_log =
+      std::string("ESDW") +
+      std::string(reinterpret_cast<const char*>(&retired_version),
+                  sizeof(retired_version)) +
+      ReadFileBytes(dir.Path("log.bin")).substr(live::kWalFileHeaderBytes);
 
-  WalReplayResult result;
-  std::string error;
-  EXPECT_FALSE(live::ReplayWal(path, nullptr, &result, &error));
-  EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader);
-  EXPECT_FALSE(error.empty());
+  for (const std::string& foreign :
+       {std::string("this is certainly not an ESDW log at all"), v1_log}) {
+    const std::string path = dir.Path("not_a_wal.bin");
+    WriteFileBytes(path, foreign);
 
-  WalWriter w;
-  error.clear();
-  EXPECT_FALSE(w.Open(path, &error));
-  EXPECT_FALSE(error.empty());
-  // The foreign file must not have been clobbered by the refused open.
-  EXPECT_EQ(ReadFileBytes(path),
-            "this is certainly not an ESDW log at all");
+    WalReplayResult result;
+    std::string error;
+    EXPECT_FALSE(live::ReplayWal(path, nullptr, &result, &error));
+    EXPECT_EQ(result.tail, WalTailStatus::kBadFileHeader);
+    EXPECT_EQ(result.records, 0u);
+    EXPECT_FALSE(error.empty());
+
+    WalWriter w;
+    error.clear();
+    EXPECT_FALSE(w.Open(path, &error));
+    EXPECT_FALSE(error.empty());
+    // The foreign file must not have been clobbered by the refused open.
+    EXPECT_EQ(ReadFileBytes(path), foreign);
+  }
 }
 
 TEST(LiveWalTest, TruncateAllKeepsHeaderAndAcceptsAppends) {
@@ -313,7 +328,7 @@ TEST(LiveWalTest, TruncateAllKeepsHeaderAndAcceptsAppends) {
   std::string error;
   ASSERT_TRUE(w.Open(path, &error)) << error;
   ASSERT_TRUE(w.TruncateAll(&error)) << error;
-  EXPECT_EQ(w.SizeBytes(), live::kWalFileHeaderBytesV2);
+  EXPECT_EQ(w.SizeBytes(), live::kWalFileHeaderBytes);
 
   WalRecord rec;
   rec.seq = 100;
@@ -360,6 +375,19 @@ TEST(LiveRecoveryTest, SnapshotRoundTripAndCorruptionDetected) {
     EXPECT_FALSE(live::LoadGraphSnapshot(dir.Path("bad.bin"), &out, &error))
         << "pos=" << pos;
   }
+
+  // A snapshot in the retired version-1 layout (no scorer id, checksum
+  // intact) is refused: only version 2 is read. The v2 file is magic +
+  // version, scorer id at bytes 8..11, the rest, then the u64 checksum.
+  std::string retired =
+      bytes.substr(0, 8) + bytes.substr(12, bytes.size() - 12 - 8);
+  const uint32_t retired_version = 1;
+  std::memcpy(retired.data() + 4, &retired_version, sizeof(retired_version));
+  const uint64_t sum = core::Fnv1a(retired.data() + 8, retired.size() - 8);
+  retired.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  WriteFileBytes(dir.Path("v1.bin"), retired);
+  live::GraphSnapshotData out;
+  EXPECT_FALSE(live::LoadGraphSnapshot(dir.Path("v1.bin"), &out, &error));
 }
 
 TEST(LiveRecoveryTest, TornTailIsTruncatedAndLogReopens) {
@@ -535,9 +563,9 @@ TEST(LiveIndexTest, CheckpointCompactsTheLog) {
 
   const std::vector<LiveUpdate> updates = RandomUpdates(64, 40, 99);
   ASSERT_EQ(live->ApplyBatch(updates, &error), updates.size()) << error;
-  EXPECT_GT(live->Stats().wal_bytes, live::kWalFileHeaderBytesV2);
+  EXPECT_GT(live->Stats().wal_bytes, live::kWalFileHeaderBytes);
   ASSERT_TRUE(live->Checkpoint(&error)) << error;
-  EXPECT_EQ(live->Stats().wal_bytes, live::kWalFileHeaderBytesV2);
+  EXPECT_EQ(live->Stats().wal_bytes, live::kWalFileHeaderBytes);
   EXPECT_TRUE(fs::exists(dir.Path("snap.bin")));
 
   // Updates after the checkpoint land in the compacted log and survive.

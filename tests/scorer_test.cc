@@ -332,16 +332,20 @@ TEST(ScorerIndexIoTest, RoundTripCarriesScorerKind) {
   const EsdIndex treap = BuildIndex(g, core::TrussScorer());
   const FrozenEsdIndex frozen = BuildFrozenIndex(g, core::TrussScorer());
 
-  std::stringstream record_stream, frozen_stream;
+  // The treap engine saves through Freeze and loads through Thaw.
+  std::stringstream treap_stream, frozen_stream;
   std::string error;
-  ASSERT_TRUE(core::SerializeIndex(treap, record_stream, &error)) << error;
+  ASSERT_TRUE(core::SerializeFrozenIndex(core::Freeze(treap), treap_stream,
+                                         &error))
+      << error;
   ASSERT_TRUE(core::SerializeFrozenIndex(frozen, frozen_stream, &error))
       << error;
 
-  EsdIndex treap2;
-  ASSERT_TRUE(core::DeserializeIndex(record_stream, &treap2, &error))
+  FrozenEsdIndex treap_image;
+  ASSERT_TRUE(
+      core::DeserializeFrozenIndex(treap_stream, &treap_image, &error))
       << error;
-  EXPECT_EQ(treap2.Scorer(), ScorerKind::kTruss);
+  EXPECT_EQ(core::Thaw(treap_image).Scorer(), ScorerKind::kTruss);
 
   FrozenEsdIndex frozen2;
   ASSERT_TRUE(core::DeserializeFrozenIndex(frozen_stream, &frozen2, &error))
@@ -359,21 +363,23 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
   const std::string frozen_path = dir + "/frozen.bin";
 
   std::string error;
-  ASSERT_TRUE(
-      core::SaveIndex(BuildIndex(g, core::TrussScorer()), treap_path, &error))
+  ASSERT_TRUE(core::SaveFrozenIndex(
+      core::Freeze(BuildIndex(g, core::TrussScorer())), treap_path, &error))
       << error;
   ASSERT_TRUE(core::SaveFrozenIndex(BuildFrozenIndex(g, core::TrussScorer()),
                                     frozen_path, &error))
       << error;
 
-  EsdIndex treap;
   FrozenEsdIndex frozen;
-  EXPECT_TRUE(core::LoadIndex(treap_path, &treap, ScorerKind::kTruss));
+  ASSERT_TRUE(core::LoadFrozenIndex(treap_path, &frozen, ScorerKind::kTruss));
+  EXPECT_EQ(core::Thaw(frozen).Scorer(), ScorerKind::kTruss);
   EXPECT_TRUE(
       core::LoadFrozenIndex(frozen_path, &frozen, ScorerKind::kTruss));
 
-  const IndexIoResult treap_miss =
-      core::LoadIndex(treap_path, &treap, ScorerKind::kEgoBetweenness);
+  // The treap engine's load: a file of another scorer is refused before
+  // anything is thawed.
+  const IndexIoResult treap_miss = core::LoadFrozenIndex(
+      treap_path, &frozen, ScorerKind::kEgoBetweenness);
   EXPECT_FALSE(treap_miss);
   EXPECT_EQ(treap_miss.status, IndexIoStatus::kScorerMismatch);
   EXPECT_NE(treap_miss.message.find("truss"), std::string::npos);
@@ -384,15 +390,8 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
   EXPECT_FALSE(frozen_miss);
   EXPECT_EQ(frozen_miss.status, IndexIoStatus::kScorerMismatch);
 
-  // A frozen file also loads into the record path and vice versa — the
-  // mismatch check is format-independent.
-  const IndexIoResult cross =
-      core::LoadIndex(frozen_path, &treap, ScorerKind::kEsd);
-  EXPECT_FALSE(cross);
-  EXPECT_EQ(cross.status, IndexIoStatus::kScorerMismatch);
-
   const IndexIoResult missing =
-      core::LoadIndex(dir + "/nope.bin", &treap, ScorerKind::kTruss);
+      core::LoadFrozenIndex(dir + "/nope.bin", &frozen, ScorerKind::kTruss);
   EXPECT_FALSE(missing);
   EXPECT_EQ(missing.status, IndexIoStatus::kIoError);
 
@@ -400,7 +399,7 @@ TEST(ScorerIndexIoTest, CheckedLoadAcceptsMatchRejectsMismatch) {
 }
 
 /// Fuzz the 4-byte scorer-id field (bytes 8..11, right after magic +
-/// version) of serialized v3/v4 streams. Garbage ids must fail typed as
+/// version) of a serialized index stream. Garbage ids must fail typed as
 /// kUnknownScorer; a *valid but different* id must trip the checksum
 /// (kFormatError) — the stamp is checksummed, so it cannot be quietly
 /// rewritten; and only a well-formed foreign file yields kScorerMismatch.
@@ -452,23 +451,6 @@ TEST(ScorerIndexIoTest, GarbageScorerIdFuzz) {
         core::DeserializeFrozenIndex(in, &out, ScorerKind::kTruss);
     EXPECT_FALSE(res) << "keep " << keep;
     EXPECT_EQ(res.status, IndexIoStatus::kFormatError);
-  }
-
-  // Same sweep for the record-stream (v3) format.
-  std::stringstream rec;
-  ASSERT_TRUE(
-      core::SerializeIndex(BuildIndex(g, core::TrussScorer()), rec, &error))
-      << error;
-  const std::string rec_good = rec.str();
-  for (uint32_t raw : {0u, 4u, 0xFFFFFFFFu}) {
-    std::string bad = rec_good;
-    std::memcpy(&bad[8], &raw, sizeof(raw));
-    std::stringstream in(bad);
-    EsdIndex out;
-    const IndexIoResult res =
-        core::DeserializeIndex(in, &out, ScorerKind::kTruss);
-    EXPECT_FALSE(res) << raw;
-    EXPECT_EQ(res.status, IndexIoStatus::kUnknownScorer) << raw;
   }
 }
 
